@@ -131,54 +131,65 @@ class Writer:
 
 
 class Reader:
-    """Consumes fields from a byte string, raising on truncation."""
+    """Consumes fields from a byte string, raising on truncation.
+
+    Fixed-width fields are unpacked in place at the read offset
+    (``Struct.unpack_from``); only variable-length fields copy bytes
+    out of the buffer.
+    """
+
+    __slots__ = ("_data", "_pos")
 
     def __init__(self, data: bytes) -> None:
         self._data = data
         self._pos = 0
 
-    def _take(self, count: int) -> bytes:
-        end = self._pos + count
+    def _claim(self, count: int) -> int:
+        """Bounds-check and consume ``count`` bytes; returns the offset
+        they start at."""
+        pos = self._pos
+        end = pos + count
         if end > len(self._data):
             raise WireFormatError(
-                f"truncated message: wanted {count} bytes at offset {self._pos}, "
-                f"have {len(self._data) - self._pos}"
+                f"truncated message: wanted {count} bytes at offset {pos}, "
+                f"have {len(self._data) - pos}"
             )
-        chunk = self._data[self._pos : end]
         self._pos = end
-        return chunk
+        return pos
 
     def u8(self) -> int:
-        return _U8.unpack(self._take(1))[0]
+        return _U8.unpack_from(self._data, self._claim(1))[0]
 
     def u16(self) -> int:
-        return _U16.unpack(self._take(2))[0]
+        return _U16.unpack_from(self._data, self._claim(2))[0]
 
     def u32(self) -> int:
-        return _U32.unpack(self._take(4))[0]
+        return _U32.unpack_from(self._data, self._claim(4))[0]
 
     def u64(self) -> int:
-        return _U64.unpack(self._take(8))[0]
+        return _U64.unpack_from(self._data, self._claim(8))[0]
 
     def f64(self) -> float:
-        return struct.unpack("!d", self._take(8))[0]
+        return _F64.unpack_from(self._data, self._claim(8))[0]
 
     def boolean(self) -> bool:
         return self.u8() != 0
 
     def bytes_field(self) -> bytes:
-        return self._take(self.u16())
+        count = self.u16()
+        pos = self._claim(count)
+        return self._data[pos : pos + count]
 
     def u32_list(self) -> list[int]:
         n = self.u16()
         if n == 0:
             return []
-        return list(_vector_struct(n).unpack(self._take(4 * n)))
+        return list(_vector_struct(n).unpack_from(self._data, self._claim(4 * n)))
 
     def unpack(self, codec: struct.Struct) -> tuple:
         """Decode several fixed-width fields in one preallocated-Struct
         unpack call (the struct fast path mirroring :meth:`Writer.pack`)."""
-        return codec.unpack(self._take(codec.size))
+        return codec.unpack_from(self._data, self._claim(codec.size))
 
     def expect_end(self) -> None:
         """Raise unless the whole buffer has been consumed."""

@@ -13,9 +13,11 @@ plays two roles:
   publishes may fan out to many).
 * **Delivery agent** for the subscription streams assigned to it: on
   every causal indication whose envelope matches a stream's topics it
-  emits a :class:`~repro.svc.wire.ClientDeliver`, flow-controlled by
-  the per-stream delivery window (over-window deliveries park until
-  the client's cumulative delivery ack).
+  emits a CLIENT_DELIVER frame (:func:`~repro.svc.wire.deliver_frame`:
+  the topic/payload bytes are built once per indication, only the
+  per-stream head differs), flow-controlled by the per-stream delivery
+  window (over-window deliveries park until the client's cumulative
+  delivery ack).
 
 Failover makes both roles transferable (PROTOCOL §14.7): the home
 role re-opens at a successor via the *negotiated resume handshake* —
@@ -29,8 +31,8 @@ carried, every frontend dedupes indications by publish identity: the
 group may process a copy twice, the fan-out never does.
 
 Frontends are sans-IO like the engine underneath: outbound PDUs
-accumulate in :attr:`Frontend.outbox` for the driver (the sharded
-tier, a test, a socket loop) to encode and carry.
+accumulate in :attr:`Frontend.outbox`, already encoded, for the driver
+(the sharded tier, a test, a socket loop) to carry.
 """
 
 from __future__ import annotations
@@ -40,16 +42,18 @@ from typing import Callable
 
 from ..core.message import UserMessage
 from ..core.service import UrcgcService
-from ..errors import FlowControlBlocked, ProtocolError
-from ..obs import Registry
+from ..errors import ConfigError, FlowControlBlocked, ProtocolError
+from ..net.wire import global_registry
+from ..obs import Counter, Registry
 from .envelope import Envelope
 from .wire import (
     ACK_DELIVER,
     ACK_PUBLISH,
     ClientAck,
-    ClientDeliver,
     ClientHello,
     ClientPublish,
+    deliver_body,
+    deliver_frame,
 )
 
 __all__ = ["HomeSession", "DeliveryStream", "Frontend"]
@@ -91,7 +95,8 @@ class DeliveryStream:
         #: Last delivery sequence the client cumulatively acked.
         self.acked = 0
         self.window = window
-        #: Deliveries withheld while the window is full.
+        #: Deliveries withheld while the window is full, each with its
+        #: encoded topic/payload body.
         self.parked: deque[tuple[Envelope, bytes]] = deque()
         #: Stream generation; bumps when the stream re-anchors here.
         self.epoch = epoch
@@ -122,6 +127,8 @@ class Frontend:
         self.grant_credit = grant_credit
         self.deliver_window = deliver_window
         self._registry = registry
+        #: This shard's counters by name, bound on first use.
+        self._counters: dict[str, Counter] = {}
         self._clock = clock
         #: Tier hook fired once per envelope copy this frontend
         #: *injected*, when the local member processes it (= globally
@@ -129,8 +136,9 @@ class Frontend:
         self._on_processed = on_processed
         self.homed: dict[int, HomeSession] = {}
         self.streams: dict[int, DeliveryStream] = {}
-        #: Outbound PDUs for the driver: ``(client_id, pdu)`` pairs.
-        self.outbox: list[tuple[int, object]] = []
+        #: Outbound PDUs for the driver: ``(client_id, frame)`` pairs,
+        #: each frame a complete tag-prefixed encoding.
+        self.outbox: list[tuple[int, bytes]] = []
         #: Envelopes this frontend injected and still awaits, by
         #: publish identity, in injection order (= stamp order for
         #: bridged traffic) — the salvage set if this member dies.
@@ -170,7 +178,8 @@ class Frontend:
                 hello.acked_seq,
             )
             self.homed[hello.client_id] = session
-            self._count("svc.sessions.opened")
+            if self._registry is not None:
+                self._registry.count("svc.sessions.opened")
         else:
             if hello.resume_seq < existing.last_seq:
                 raise ProtocolError(
@@ -211,7 +220,7 @@ class Frontend:
                 f"{session.outstanding}/{session.credit} outstanding"
             )
         session.last_seq = pub.client_seq
-        self._count("svc.publish", shard=self.shard)
+        self._count("svc.publish")
         return Envelope(pub.client_id, pub.client_seq, pub.topics, pub.payload)
 
     def inject(self, envelope: Envelope) -> None:
@@ -225,7 +234,7 @@ class Frontend:
         """
         self._pending[envelope.msg_id] = (self._now(), envelope)
         self.service.data_rq(envelope.to_bytes())
-        self._count("svc.injected", shard=self.shard)
+        self._count("svc.injected")
 
     def doubted(self) -> list[Envelope]:
         """Injected-but-unresolved envelopes, in injection order."""
@@ -249,19 +258,15 @@ class Frontend:
             session.acked += 1
             advanced = True
         if advanced:
-            self.outbox.append(
-                (
-                    session.client_id,
-                    ClientAck(
-                        ACK_PUBLISH,
-                        session.client_id,
-                        0,
-                        session.acked,
-                        session.credit,
-                        resume_seq=session.last_seq,
-                    ),
-                )
+            ack = ClientAck(
+                ACK_PUBLISH,
+                session.client_id,
+                0,
+                session.acked,
+                session.credit,
+                resume_seq=session.last_seq,
             )
+            self.outbox.append((session.client_id, global_registry.encode(ack)))
 
     # ------------------------------------------------------------------
     # delivery role: subscriptions / fan-out / delivery acks
@@ -278,6 +283,9 @@ class Frontend:
     ) -> None:
         """Attach (or widen) the client's delivery stream on this shard.
 
+        Widening the window of a stream with parked deliveries un-parks
+        as many as the new window admits, oldest first.
+
         With ``replay=True`` the stream re-anchors here at generation
         ``epoch``: a fresh stream is built and the member's whole
         processed-envelope log is replayed through it (window rules
@@ -287,21 +295,27 @@ class Frontend:
         from the start of the log (PROTOCOL §14.7 documents the
         stable-subscription assumption this rests on).
         """
+        if window is not None and window < 1:
+            raise ConfigError(f"delivery window must be >= 1, got {window}")
         stream = self.streams.get(client_id)
         if stream is None or replay:
             stream = DeliveryStream(
-                client_id, set(topics), window or self.deliver_window, epoch
+                client_id,
+                set(topics),
+                self.deliver_window if window is None else window,
+                epoch,
             )
             self.streams[client_id] = stream
-            self._count("svc.streams.opened", shard=self.shard)
+            self._count("svc.streams.opened")
             if replay:
-                self._count("svc.streams.reanchored", shard=self.shard)
+                self._count("svc.streams.reanchored")
                 for envelope in self.processed_log:
-                    self._fan_out(stream, envelope)
+                    self._fan_out(stream, envelope, {})
         else:
             stream.topics |= topics
             if window is not None:
                 stream.window = window
+                self._unpark(stream)
 
     def unsubscribe_topics(self, client_id: int, topics: set[bytes]) -> None:
         """Narrow a stream (topic handoff moved these topics away)."""
@@ -334,9 +348,7 @@ class Frontend:
                 f"emitted {stream.deliver_seq}"
             )
         stream.acked = max(stream.acked, ack.ack_seq)
-        while stream.parked and stream.unacked < stream.window:
-            envelope, topic = stream.parked.popleft()
-            self._emit_deliver(stream, envelope, topic)
+        self._unpark(stream)
 
     # ------------------------------------------------------------------
     # the causal indication path
@@ -360,55 +372,75 @@ class Frontend:
             # A failover re-injection of a copy the group already
             # carried: the processing fact above still counts, the
             # fan-out must not repeat.
-            self._count("svc.dedup", shard=self.shard)
+            self._count("svc.dedup")
             return
         self.seen.add(envelope.msg_id)
         self.processed_log.append(envelope)
         if envelope.bridged:
             self.bridge_log.append(envelope)
+        bodies: dict[bytes, bytes] = {}
         for stream in self.streams.values():
-            self._fan_out(stream, envelope)
+            self._fan_out(stream, envelope, bodies)
 
-    def _fan_out(self, stream: DeliveryStream, envelope: Envelope) -> None:
-        matched = next((t for t in envelope.topics if t in stream.topics), None)
-        if matched is None:
-            return
-        if stream.unacked >= stream.window:
-            stream.parked.append((envelope, matched))
-            self._count("svc.deliver.parked", shard=self.shard)
+    def _fan_out(
+        self, stream: DeliveryStream, envelope: Envelope, bodies: dict[bytes, bytes]
+    ) -> None:
+        """Deliver ``envelope`` on ``stream`` if it matches.  ``bodies``
+        holds the envelope's encoded topic/payload tails by matched
+        topic, shared by every stream the envelope fans out to."""
+        subscribed = stream.topics
+        for topic in envelope.topics:
+            if topic in subscribed:
+                break
         else:
-            self._emit_deliver(stream, envelope, matched)
+            return
+        body = bodies.get(topic)
+        if body is None:
+            body = bodies[topic] = deliver_body(topic, envelope.payload)
+        # Never overtake a parked delivery, whatever the window says:
+        # the stream carries processing order.
+        if stream.parked or stream.unacked >= stream.window:
+            stream.parked.append((envelope, body))
+            self._count("svc.deliver.parked")
+        else:
+            self._emit_deliver(stream, envelope, body)
 
-    def _emit_deliver(self, stream: DeliveryStream, envelope: Envelope, topic: bytes) -> None:
+    def _unpark(self, stream: DeliveryStream) -> None:
+        while stream.parked and stream.unacked < stream.window:
+            self._emit_deliver(stream, *stream.parked.popleft())
+
+    def _emit_deliver(self, stream: DeliveryStream, envelope: Envelope, body: bytes) -> None:
         stream.deliver_seq += 1
-        self.outbox.append(
-            (
-                stream.client_id,
-                ClientDeliver(
-                    stream.client_id,
-                    self.shard,
-                    stream.deliver_seq,
-                    envelope.origin,
-                    envelope.origin_seq,
-                    topic,
-                    envelope.payload,
-                    epoch=stream.epoch,
-                ),
-            )
+        frame = deliver_frame(
+            stream.client_id,
+            self.shard,
+            stream.deliver_seq,
+            envelope.origin,
+            envelope.origin_seq,
+            stream.epoch,
+            body,
         )
-        self._count("svc.deliver", shard=self.shard)
+        self.outbox.append((stream.client_id, frame))
+        self._count("svc.deliver")
 
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
 
-    def drain_outbox(self) -> list[tuple[int, object]]:
+    def drain_outbox(self) -> list[tuple[int, bytes]]:
         out, self.outbox = self.outbox, []
         return out
 
     def _now(self) -> float:
         return self._clock() if self._clock is not None else 0.0
 
-    def _count(self, name: str, **labels: object) -> None:
-        if self._registry is not None:
-            self._registry.count(name, **labels)
+    def _count(self, name: str) -> None:
+        """Bump this shard's counter ``name``."""
+        counter = self._counters.get(name)
+        if counter is None:
+            if self._registry is None:
+                return
+            counter = self._counters[name] = self._registry.counter(
+                name, shard=self.shard
+            )
+        counter.add()

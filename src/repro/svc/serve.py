@@ -18,6 +18,7 @@ whose report the CLI prints (and CI archives).
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass, field
 
 from ..analysis.checkers import (
@@ -36,17 +37,24 @@ __all__ = ["ServeResult", "audit_tier", "serve", "registry_report"]
 
 @dataclass
 class ServeResult:
-    """Outcome of one serve run, checker verdicts included."""
+    """Outcome of one serve run, checker verdicts included.
+
+    ``wall_s`` times the traffic phase — first publish to settled tier;
+    session set-up and the audit are outside it — and is the base of
+    the two rates :meth:`describe` prints.
+    """
 
     shards: int
     members: int
     clients: int
     sessions: int
     publishes: int
+    acked: int
     bridged: int
     deliveries: int
     pdus_moved: int
     quiesced: bool
+    wall_s: float
     violations: tuple[str, ...] = ()
     failovers: int = 0
     moved_topics: int = 0
@@ -67,7 +75,9 @@ class ServeResult:
             f"serve[{verdict}] shards={self.shards} clients={self.clients} "
             f"sessions={self.sessions} publishes={self.publishes} "
             f"(bridged={self.bridged}) deliveries={self.deliveries}{chaos} "
-            f"violations={len(self.violations)}"
+            f"violations={len(self.violations)} wall={self.wall_s:.3f}s "
+            f"({self.acked / self.wall_s:.0f} acked publishes/s, "
+            f"{self.deliveries / self.wall_s:.0f} deliveries/s)"
         )
 
 
@@ -210,6 +220,7 @@ def serve(
         chaos_at.setdefault(index, []).append(event)
 
     bridged = 0
+    started = time.perf_counter()
     for i in range(messages):
         client_id = client_ids[i % len(client_ids)]
         if rng.random() < multi_ratio and topics >= 2:
@@ -239,6 +250,7 @@ def serve(
         tier.run()
     except ProtocolError:  # budget exhausted: report as non-quiescent, audit anyway
         quiesced = False
+    wall_s = time.perf_counter() - started
 
     violations = audit_tier(tier, quiesced=quiesced)
 
@@ -251,10 +263,12 @@ def serve(
         clients=clients,
         sessions=len(client_ids),
         publishes=messages,
+        acked=sum(s.acked for s in tier.sessions.values()),
         bridged=bridged,
         deliveries=deliveries,
         pdus_moved=tier.pdus_moved,
         quiesced=quiesced,
+        wall_s=wall_s,
         violations=tuple(violations),
         failovers=tier.failovers,
         moved_topics=tier.moved_topics,

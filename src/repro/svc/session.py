@@ -54,10 +54,6 @@ class ClientSession:
     credit:
         Publish window to request in the HELLO; the frontend's grant
         (carried in every publish-ack) is what actually binds.
-    auto_ack:
-        When True (default) :meth:`on_deliver` returns a cumulative
-        delivery ack for the stream, ready to send; set False to ack
-        manually via :meth:`ack_delivers` (batch acking).
     """
 
     __slots__ = (
@@ -67,7 +63,6 @@ class ClientSession:
         "window",
         "next_seq",
         "acked",
-        "auto_ack",
         "_queue",
         "_unacked",
         "delivered",
@@ -77,7 +72,7 @@ class ClientSession:
         "_seen",
     )
 
-    def __init__(self, client_id: int, *, credit: int = 32, auto_ack: bool = True) -> None:
+    def __init__(self, client_id: int, *, credit: int = 32) -> None:
         self.client_id = client_id
         self.state = SessionState.IDLE
         self.requested_credit = credit
@@ -86,7 +81,6 @@ class ClientSession:
         self.next_seq = 1
         #: Highest cumulative publish-ack received.
         self.acked = 0
-        self.auto_ack = auto_ack
         self._queue: deque[tuple[tuple[bytes, ...], bytes]] = deque()
         #: Sent-but-unacked publishes, retained for failover replay.
         self._unacked: deque[ClientPublish] = deque()
@@ -270,7 +264,7 @@ class ClientSession:
             released.append(self._next_publish(topics, payload))
         return released
 
-    def on_deliver(self, deliver: ClientDeliver) -> ClientAck | None:
+    def on_deliver(self, deliver: ClientDeliver) -> None:
         """Absorb one delivery; enforces per-stream contiguity.
 
         Accepted in CONNECTING too: over a real transport a fan-out
@@ -280,7 +274,8 @@ class ClientSession:
         accepted on this shard is counted in :attr:`dup_filtered`
         instead of re-appearing in :attr:`delivered`.
 
-        Returns the cumulative delivery ack when ``auto_ack`` is set.
+        The driver acknowledges with :meth:`ack_delivers` — once per
+        batch of deliveries it handed over, since the ack is cumulative.
         """
         self._check_inbound(deliver.client_id)
         if self.state not in (SessionState.ACTIVE, SessionState.CONNECTING):
@@ -288,7 +283,7 @@ class ClientSession:
         current = self._epoch.get(deliver.shard, 0)
         if deliver.epoch != current:
             if deliver.epoch < current:
-                return None  # straggler from a previous stream life
+                return  # straggler from a previous stream life
             raise ProtocolError(
                 f"c{self.client_id} stream s{deliver.shard}: epoch "
                 f"{deliver.epoch} from the future (at {current})"
@@ -307,9 +302,6 @@ class ClientSession:
         else:
             seen.add(key)
             self.delivered.append(deliver)
-        if self.auto_ack:
-            return self.ack_delivers(deliver.shard)
-        return None
 
     def ack_delivers(self, shard: int) -> ClientAck:
         """Cumulative delivery ack for one shard stream."""

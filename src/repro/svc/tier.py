@@ -31,7 +31,9 @@ switching, and the salvage triage sound.
 
 All client PDUs cross the tier through the real wire codecs
 (:data:`repro.net.wire.global_registry`) — the simulated transport is
-in-process, the bytes are not.
+in-process, the bytes are not.  Frontends hand over encoded frames;
+the tier decodes them for the sessions and returns one cumulative
+delivery ack per stream per batch.
 """
 
 from __future__ import annotations
@@ -137,7 +139,8 @@ class ShardedService:
         self.failovers = 0
         self.moved_topics = 0
         self._handoff_seq = 0
-        #: Client PDUs shuttled through the wire codecs, both ways.
+        #: Frontend → client PDUs shuttled by :meth:`pump` (the
+        #: clients' delivery acks are not counted).
         self.pdus_moved = 0
         self._horizon: Time = Time(0.0)
         self.registry.set_gauge("svc.shards", shards)
@@ -327,44 +330,65 @@ class ShardedService:
     # ------------------------------------------------------------------
 
     def pump(self) -> int:
-        """Shuttle pending client PDUs until none remain.
+        """Shuttle pending frontend → client PDUs until none remain.
 
-        Every PDU is encoded and re-decoded through the global wire
-        registry, so the client tier exercises the same codecs a socket
-        deployment would.  Returns the number of PDUs moved.
+        Frontends emit encoded frames; each is decoded through the
+        global wire registry on its way to the session, so the client
+        side runs the same codec and validation a socket deployment
+        would.  Every outbox drained is one batch: the streams it
+        delivered on are each acknowledged once, cumulatively, after
+        it (which may un-park more fan-out for the next pass).
+        Returns the number of frames moved.
         """
         moved = 0
         progress = True
         while progress:
             progress = False
             for frontend in list(self._live_frontends()):
-                for client_id, pdu in frontend.drain_outbox():
-                    self._to_client(client_id, self._wire(pdu))
-                    moved += 1
-                    progress = True
+                batch = frontend.drain_outbox()
+                if not batch:
+                    continue
+                progress = True
+                moved += len(batch)
+                owed: dict[tuple[int, int], None] = {}  # insertion-ordered set
+                for client_id, frame in batch:
+                    stream = self._to_client(client_id, global_registry.decode(frame))
+                    if stream is not None:
+                        owed[stream] = None
+                for client_id, shard in owed:
+                    self._ack_delivers(client_id, shard)
         self.pdus_moved += moved
         return moved
 
-    def _to_client(self, client_id: int, pdu: object) -> None:
+    def _to_client(self, client_id: int, pdu: object) -> tuple[int, int] | None:
+        """Hand one decoded PDU to its session; returns the ``(client,
+        shard)`` stream that now owes a delivery ack, if any."""
         session = self.sessions.get(client_id)
         if session is None:
-            return  # session closed while deliveries were in flight
+            return None  # session closed while deliveries were in flight
         if isinstance(pdu, ClientDeliver):
-            ack = session.on_deliver(pdu)
-            if ack is not None:
-                member = self._stream_member[(client_id, pdu.shard)]
-                if (pdu.shard, member) not in self._dead:
-                    self.frontends[pdu.shard][member].on_deliver_ack(self._wire(ack))
-        elif isinstance(pdu, ClientAck) and pdu.kind == ACK_PUBLISH:
+            session.on_deliver(pdu)
+            return client_id, pdu.shard
+        if isinstance(pdu, ClientAck) and pdu.kind == ACK_PUBLISH:
             for released in session.on_ack(pdu):
                 self._ingress(self._wire(released))
-        elif isinstance(pdu, ClientAck) and pdu.kind == ACK_DELIVER:
+            return None
+        if isinstance(pdu, ClientAck) and pdu.kind == ACK_DELIVER:
             raise ProtocolError("delivery ack addressed to a client")
-        else:
-            raise ProtocolError(f"unroutable client PDU {pdu!r}")
+        raise ProtocolError(f"unroutable client PDU {pdu!r}")
+
+    def _ack_delivers(self, client_id: int, shard: int) -> None:
+        """Carry the session's cumulative delivery ack for one stream
+        to the frontend serving it."""
+        member = self._stream_member[(client_id, shard)]
+        if (shard, member) not in self._dead:
+            ack = self._wire(self.sessions[client_id].ack_delivers(shard))
+            self.frontends[shard][member].on_deliver_ack(ack)
 
     def _wire(self, pdu: object) -> object:
-        """One wire round-trip (encode + decode) through the registry."""
+        """One wire round-trip (encode + decode) through the registry,
+        for the PDUs the tier carries as objects: everything a client
+        sends, and the hello-ack :meth:`Frontend.on_hello` returns."""
         return global_registry.decode(global_registry.encode(pdu))
 
     # ------------------------------------------------------------------

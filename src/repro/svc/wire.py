@@ -36,6 +36,8 @@ __all__ = [
     "ClientDeliver",
     "ClientAck",
     "KIND_CLIENT",
+    "deliver_body",
+    "deliver_frame",
 ]
 
 _TAG_CLIENT_HELLO = 19
@@ -65,6 +67,8 @@ _PUB_HEAD = struct.Struct("!QI")  # client_id, client_seq
 _DELIVER_HEAD = struct.Struct("!QHIQIH")
 # kind, client_id, shard, ack_seq, credit, resume_seq, epoch
 _ACK_HEAD = struct.Struct("!BQHIHIH")
+# The fan-out's whole fixed prefix in one pack: the tag, then _DELIVER_HEAD.
+_DELIVER_FRAME_HEAD = struct.Struct("!B" + _DELIVER_HEAD.format[1:])
 
 _U64_MAX = 0xFFFF_FFFF_FFFF_FFFF
 _U32_MAX = 0xFFFF_FFFF
@@ -74,6 +78,26 @@ _U16_MAX = 0xFFFF
 def _check_client_id(client_id: int) -> None:
     if not 0 <= client_id <= _U64_MAX:
         raise WireFormatError(f"client id {client_id} outside u64")
+
+
+def _check_topic(topic: bytes) -> None:
+    if not 1 <= len(topic) <= MAX_TOPIC_LEN:
+        raise WireFormatError(f"topic of {len(topic)} bytes outside [1, {MAX_TOPIC_LEN}]")
+
+
+def _check_deliver_head(
+    client_id: int, shard: int, deliver_seq: int, origin: int, origin_seq: int, epoch: int
+) -> None:
+    _check_client_id(client_id)
+    _check_client_id(origin)
+    if not 0 <= shard <= _U16_MAX:
+        raise WireFormatError(f"shard {shard} outside u16")
+    if not 1 <= deliver_seq <= _U32_MAX:
+        raise WireFormatError(f"deliver_seq {deliver_seq} outside [1, u32]")
+    if not 1 <= origin_seq <= _U32_MAX:
+        raise WireFormatError(f"origin_seq {origin_seq} outside [1, u32]")
+    if not 0 <= epoch <= _U16_MAX:
+        raise WireFormatError(f"epoch {epoch} outside u16")
 
 
 @dataclass(frozen=True)
@@ -143,8 +167,7 @@ class ClientPublish:
         if len(set(self.topics)) != len(self.topics):
             raise WireFormatError("publish topics must be distinct")
         for topic in self.topics:
-            if not 1 <= len(topic) <= MAX_TOPIC_LEN:
-                raise WireFormatError(f"topic of {len(topic)} bytes outside [1, {MAX_TOPIC_LEN}]")
+            _check_topic(topic)
 
     def encode_fields(self, writer: Writer) -> None:
         writer.pack(_PUB_HEAD, self.client_id, self.client_seq)
@@ -185,18 +208,11 @@ class ClientDeliver:
     epoch: int = 0
 
     def __post_init__(self) -> None:
-        _check_client_id(self.client_id)
-        _check_client_id(self.origin)
-        if not 0 <= self.shard <= _U16_MAX:
-            raise WireFormatError(f"shard {self.shard} outside u16")
-        if not 1 <= self.deliver_seq <= _U32_MAX:
-            raise WireFormatError(f"deliver_seq {self.deliver_seq} outside [1, u32]")
-        if not 1 <= self.origin_seq <= _U32_MAX:
-            raise WireFormatError(f"origin_seq {self.origin_seq} outside [1, u32]")
-        if not 1 <= len(self.topic) <= MAX_TOPIC_LEN:
-            raise WireFormatError(f"topic of {len(self.topic)} bytes outside [1, {MAX_TOPIC_LEN}]")
-        if not 0 <= self.epoch <= _U16_MAX:
-            raise WireFormatError(f"epoch {self.epoch} outside u16")
+        _check_deliver_head(
+            self.client_id, self.shard, self.deliver_seq, self.origin,
+            self.origin_seq, self.epoch,
+        )
+        _check_topic(self.topic)
 
     def encode_fields(self, writer: Writer) -> None:
         writer.pack(
@@ -221,6 +237,47 @@ class ClientDeliver:
         return cls(
             client_id, shard, deliver_seq, origin, origin_seq, topic, payload, epoch
         )
+
+
+def deliver_body(topic: bytes, payload: bytes) -> bytes:
+    """The subscriber-independent tail of a CLIENT_DELIVER frame (the
+    ``topic`` and ``payload`` fields): a frontend builds it once per
+    (indication, matched topic) and shares it across every stream the
+    indication fans out to."""
+    _check_topic(topic)
+    return Writer().bytes_field(topic).bytes_field(payload).getvalue()
+
+
+def deliver_frame(
+    client_id: int,
+    shard: int,
+    deliver_seq: int,
+    origin: int,
+    origin_seq: int,
+    epoch: int,
+    body: bytes,
+) -> bytes:
+    """One subscriber's CLIENT_DELIVER frame around a shared
+    :func:`deliver_body` — byte-identical to
+    ``global_registry.encode(ClientDeliver(...))`` and rejecting exactly
+    the values the dataclass rejects, without building the dataclass.
+
+    ``struct`` itself range-checks every field against its width; the
+    two sequence numbers' lower bound is the one check it cannot make.
+    """
+    if deliver_seq >= 1 and origin_seq >= 1:
+        try:
+            return _DELIVER_FRAME_HEAD.pack(
+                _TAG_CLIENT_DELIVER, client_id, shard, deliver_seq, origin,
+                origin_seq, epoch,
+            ) + body
+        except struct.error:
+            pass  # out of range or not an integer: named below
+    _check_deliver_head(client_id, shard, deliver_seq, origin, origin_seq, epoch)
+    raise WireFormatError(
+        "malformed deliver head "
+        f"{(client_id, shard, deliver_seq, origin, origin_seq, epoch)!r}"
+    )
 
 
 @dataclass(frozen=True)

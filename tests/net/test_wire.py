@@ -40,6 +40,23 @@ class TestWriterReader:
         with pytest.raises(WireFormatError):
             reader.u32()
 
+    def test_truncation_names_offset_and_shortfall(self):
+        # The text is part of the contract (operators grep for it), and
+        # a refused read consumes nothing.
+        reader = Reader(b"\x01\x02\x03")
+        reader.u8()
+        with pytest.raises(
+            WireFormatError,
+            match=r"^truncated message: wanted 4 bytes at offset 1, have 2$",
+        ):
+            reader.u32()
+        assert reader.u16() == 0x0203
+        with pytest.raises(
+            WireFormatError,
+            match=r"^truncated message: wanted 5 bytes at offset 2, have 2$",
+        ):
+            Reader(b"\x00\x05ab").bytes_field()
+
     def test_trailing_bytes_detected(self):
         reader = Reader(b"\x01\x02")
         reader.u8()

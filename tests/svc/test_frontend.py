@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.message import UserMessage
 from repro.core.mid import Mid
-from repro.errors import FlowControlBlocked, ProtocolError
+from repro.errors import ConfigError, FlowControlBlocked, ProtocolError
+from repro.net.wire import global_registry
 from repro.svc.envelope import Envelope
 from repro.svc.frontend import Frontend
 from repro.svc.wire import (
@@ -44,6 +45,14 @@ class _StubService:
 def build(member=1, **kw):
     service = _StubService(pid=member)
     return Frontend(0, member, service, **kw), service
+
+
+def drain(frontend):
+    """The drained outbox as a client sees it: frames decoded."""
+    return [
+        (client_id, global_registry.decode(frame))
+        for client_id, frame in frontend.drain_outbox()
+    ]
 
 
 class TestHomeRole:
@@ -117,7 +126,7 @@ class TestHomeRole:
         frontend.on_processed_elsewhere(Envelope(9, 2, (b"t",)))
         assert frontend.drain_outbox() == []
         frontend.on_processed_elsewhere(Envelope(9, 1, (b"t",)))
-        out = frontend.drain_outbox()
+        out = drain(frontend)
         assert len(out) == 1
         _, ack = out[0]
         assert ack.ack_seq == 2  # frontier jumped over the gap
@@ -156,7 +165,7 @@ class TestInjection:
         frontend.inject(env)  # salvaged re-injection
         service.indicate(env.to_bytes(), seq=2)
         assert seen == [env]  # the re-injection resolved
-        out = [d for _, d in frontend.drain_outbox()]
+        out = [d for _, d in drain(frontend)]
         assert len(out) == 1  # but only one delivery went out
         assert frontend.processed_log == [env]
 
@@ -178,7 +187,7 @@ class TestDeliveryRole:
         frontend.subscribe(5, {b"a"})
         frontend.subscribe(6, {b"a", b"b"})
         service.indicate(Envelope(9, 1, (b"a",), b"x").to_bytes())
-        out = frontend.drain_outbox()
+        out = drain(frontend)
         assert {cid for cid, _ in out} == {5, 6}
         for _, deliver in out:
             assert isinstance(deliver, ClientDeliver)
@@ -189,10 +198,10 @@ class TestDeliveryRole:
         frontend.subscribe(5, {b"t"})
         for seq in range(1, 5):
             service.indicate(Envelope(9, seq, (b"t",), b"%d" % seq).to_bytes(), seq=seq)
-        out = frontend.drain_outbox()
+        out = drain(frontend)
         assert [d.deliver_seq for _, d in out] == [1, 2]  # window = 2
         frontend.on_deliver_ack(ClientAck(ACK_DELIVER, 5, 0, 2, 0))
-        out = frontend.drain_outbox()
+        out = drain(frontend)
         assert [d.deliver_seq for _, d in out] == [3, 4]
 
     def test_deliver_ack_validation(self):
@@ -223,6 +232,39 @@ class TestFailoverSurface:
         assert frontend.streams[5].window == 2
         assert frontend.streams[5].topics == {b"a", b"b"}
 
+    def test_widening_window_keeps_parked_order(self):
+        # Regression: widening set stream.window while deliveries were
+        # parked, so the next indication saw room and was emitted ahead
+        # of them (deliver_seq 3 carrying origin_seq 5 before 3 and 4).
+        frontend, service = build(deliver_window=2)
+        frontend.subscribe(5, {b"t"})
+        for seq in range(1, 5):
+            service.indicate(Envelope(9, seq, (b"t",), b"%d" % seq).to_bytes(), seq=seq)
+        assert [d.origin_seq for _, d in drain(frontend)] == [1, 2]
+        assert len(frontend.streams[5].parked) == 2
+        # Widening un-parks as far as the new window allows...
+        frontend.subscribe(5, {b"t"}, window=3)
+        assert [d.origin_seq for _, d in drain(frontend)] == [3]
+        # ...and a new indication queues behind what is still parked,
+        # even once an ack has made room.
+        frontend.streams[5].acked = 2
+        service.indicate(Envelope(9, 5, (b"t",), b"5").to_bytes(), seq=5)
+        assert drain(frontend) == []
+        frontend.on_deliver_ack(ClientAck(ACK_DELIVER, 5, 0, 3, 0))
+        out = [d for _, d in drain(frontend)]
+        assert [d.origin_seq for d in out] == [4, 5]
+        assert [d.deliver_seq for d in out] == [4, 5]
+
+    def test_window_below_one_rejected(self):
+        # Regression: `window or self.deliver_window` turned 0 into 256.
+        frontend, _ = build()
+        with pytest.raises(ConfigError):
+            frontend.subscribe(5, {b"t"}, window=0)
+        frontend.subscribe(5, {b"t"})
+        with pytest.raises(ConfigError):
+            frontend.subscribe(5, {b"t"}, window=-1)
+        assert frontend.streams[5].window == frontend.deliver_window
+
     def test_subscribe_replay_reanchors_from_processed_log(self):
         frontend, service = build()
         for seq in range(1, 4):
@@ -232,7 +274,7 @@ class TestFailoverSurface:
         # A successor re-anchors the stream at epoch 1: the whole log
         # replays through the fresh stream in processing order.
         frontend.subscribe(5, {b"t"}, epoch=1, replay=True)
-        out = [d for _, d in frontend.drain_outbox()]
+        out = [d for _, d in drain(frontend)]
         assert [d.deliver_seq for d in out] == [1, 2, 3]
         assert [d.origin_seq for d in out] == [1, 2, 3]
         assert all(d.epoch == 1 for d in out)

@@ -33,6 +33,14 @@ class TestServe:
         assert result.bridged == 0
         assert result.ok
 
+    def test_wall_clock_rates_reported(self):
+        result = serve(shards=2, clients=1000, sessions=4, messages=10, seed=5)
+        assert result.wall_s > 0
+        assert result.acked == result.publishes == 10  # a settled run acks all
+        line = result.describe()
+        assert f"{result.acked / result.wall_s:.0f} acked publishes/s" in line
+        assert f"{result.deliveries / result.wall_s:.0f} deliveries/s" in line
+
     def test_report_renders(self):
         result = serve(shards=2, clients=1000, sessions=4, messages=10, seed=5)
         report = registry_report(result.registry)
@@ -59,3 +67,4 @@ class TestServeCli:
         out = capsys.readouterr().out
         assert "serve[OK]" in out
         assert report_path.read_text().startswith("serve[OK]")
+        assert "deliveries/s" in report_path.read_text().splitlines()[0]

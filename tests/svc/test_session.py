@@ -110,8 +110,9 @@ class TestPublishWindow:
 class TestDeliveryStreams:
     def test_contiguous_per_shard_cursors(self):
         session = active_session()
-        ack = session.on_deliver(ClientDeliver(7, 3, 1, 9, 1, b"t", b"a"))
-        assert ack is not None and ack.kind == ACK_DELIVER and ack.ack_seq == 1
+        session.on_deliver(ClientDeliver(7, 3, 1, 9, 1, b"t", b"a"))
+        ack = session.ack_delivers(3)
+        assert ack.kind == ACK_DELIVER and ack.ack_seq == 1
         session.on_deliver(ClientDeliver(7, 3, 2, 9, 2, b"t", b"b"))
         session.on_deliver(ClientDeliver(7, 8, 1, 9, 3, b"t", b"c"))
         assert session.deliver_cursor(3) == 2
@@ -125,12 +126,14 @@ class TestDeliveryStreams:
             session.on_deliver(ClientDeliver(7, 3, 3, 9, 2, b"t"))
 
     def test_manual_ack_mode(self):
-        session = ClientSession(7, auto_ack=False)
-        session.hello()
-        session.on_ack(ClientAck(ACK_PUBLISH, 7, 0, 0, 4))
+        # The only mode: on_deliver returns nothing, and one
+        # ack_delivers covers every delivery absorbed on the stream.
+        session = active_session()
         assert session.on_deliver(ClientDeliver(7, 3, 1, 9, 1, b"t")) is None
+        assert session.on_deliver(ClientDeliver(7, 3, 2, 9, 2, b"t")) is None
         ack = session.ack_delivers(3)
-        assert ack.ack_seq == 1 and ack.shard == 3
+        assert ack.ack_seq == 2 and ack.shard == 3
+        assert session.ack_delivers(8).ack_seq == 0  # nothing on that stream yet
 
     def test_foreign_pdu_rejected(self):
         session = active_session()
@@ -199,8 +202,8 @@ class TestConnectingDelivers:
         # over any real transport.
         session = ClientSession(7, credit=4)
         session.hello()
-        ack = session.on_deliver(ClientDeliver(7, 0, 1, 9, 1, b"t", b"x"))
-        assert ack is not None and ack.kind == ACK_DELIVER
+        session.on_deliver(ClientDeliver(7, 0, 1, 9, 1, b"t", b"x"))
+        assert session.ack_delivers(0).ack_seq == 1
         assert len(session.delivered) == 1
         assert session.state is SessionState.CONNECTING
 
@@ -253,8 +256,9 @@ class TestStreamEpochs:
         self.deliver(session, 1)
         session.reanchor(0)
         # A dead frontend's straggler from epoch 0 arrives late.
-        assert self.deliver(session, 2, epoch=0) is None
+        self.deliver(session, 2, epoch=0)
         assert len(session.delivered) == 1
+        assert session.deliver_cursor(0) == 0
 
     def test_future_epoch_rejected(self):
         session = active_session()
@@ -277,5 +281,5 @@ class TestStreamEpochs:
     def test_deliver_ack_carries_epoch(self):
         session = active_session()
         epoch = session.reanchor(0)
-        ack = self.deliver(session, 1, epoch=epoch)
-        assert ack.epoch == epoch
+        self.deliver(session, 1, epoch=epoch)
+        assert session.ack_delivers(0).epoch == epoch
