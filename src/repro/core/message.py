@@ -156,12 +156,23 @@ class GenerateBatch:
             )
         if self.first_seq < 1:
             raise WireFormatError(f"bad first_seq {self.first_seq}")
+        if self.first_seq + len(self.payloads) - 1 > 0xFFFFFFFF:
+            raise WireFormatError(
+                f"GenerateBatch seqs {self.first_seq}+{len(self.payloads)} "
+                f"overflow u32"
+            )
+        origins: set[ProcessId] = set()
         for dep in self.shared_deps:
             if dep.origin == self.origin:
                 raise WireFormatError(
                     f"shared dependency {dep} names the batch origin "
                     f"{self.origin} (predecessors are implicit)"
                 )
+            if dep.origin in origins:
+                raise WireFormatError(
+                    f"shared dependencies name origin {dep.origin} twice"
+                )
+            origins.add(dep.origin)
 
     def __len__(self) -> int:
         return len(self.payloads)

@@ -49,6 +49,11 @@ from ..workloads.generators import NullWorkload, Workload
 
 __all__ = ["SimCluster"]
 
+#: One datagram opened for a group of size ``n``: None when it does not
+#: parse, else whether it was batched and every expanded PDU paired with
+#: its :func:`validate_message` problem (None when in range).
+_Opened = tuple[bool, tuple[tuple[object, str | None], ...]] | None
+
 
 class SimCluster:
     """One simulated urcgc group.
@@ -126,6 +131,9 @@ class SimCluster:
         self.decode_errors = 0
         #: Batch-expanded duplicates suppressed before the engine.
         self.dup_suppressed = 0
+        #: One-entry memo of the last datagram opened (see ``_open``).
+        self._opened_key: bytes | None = None
+        self._opened: _Opened = None
         #: Suspicion transitions reported by members' failure
         #: detectors, as (pid, effect) pairs in occurrence order.
         self.suspicion_events: list[tuple[ProcessId, SuspicionChange]] = []
@@ -328,23 +336,47 @@ class SimCluster:
         metrics.sample("history.max", now, max_history)
         metrics.sample("waiting.max", now, max_waiting)
 
+    def _open(self, data: bytes) -> _Opened:
+        """:meth:`_decode` ``data``, once per run of equal datagrams.
+
+        ``DatagramNetwork.send`` schedules a broadcast's deliveries back
+        to back at one instant, so consecutive receptions carry equal
+        bytes and one entry suffices.  Every receiver then shares the
+        same PDU objects: they are frozen, hashable values, and nothing
+        in the engine keys on their identity.
+        """
+        if data != self._opened_key:
+            self._opened = self._decode(data)
+            self._opened_key = data
+        return self._opened
+
+    def _decode(self, data: bytes) -> _Opened:
+        """decode → expand → validate one datagram, for any receiver."""
+        try:
+            decoded = decode_message(data)
+            expanded = tuple(expand_message(decoded))
+        except WireFormatError:
+            return None
+        n = self.config.n
+        return (
+            isinstance(decoded, (BatchFrame, GenerateBatch)),
+            tuple((message, validate_message(message, n)) for message in expanded),
+        )
+
     def _on_data(self, pid: ProcessId, src: ProcessId, data: bytes) -> None:
         if not self.is_active(pid):
             return
-        try:
-            decoded = decode_message(data)
-            expanded = list(expand_message(decoded))
-        except WireFormatError:
+        opened = self._open(data)
+        if opened is None:
             # Malformed bytes (bad tag, truncated vector, garbage) are
             # a loss at this endpoint, never a crash of the simulation.
             self._count_decode_error(pid, "parse")
             return
-        batched = isinstance(decoded, (BatchFrame, GenerateBatch))
+        batched, pdus = opened
         member = self.members[pid]
-        for message in expanded:
+        for message, problem in pdus:
             if member.has_left:
                 break
-            problem = validate_message(message, self.config.n)
             if problem is not None:
                 # Structurally valid but semantically out of range
                 # (forged vector, member index >= n): drop the PDU.
