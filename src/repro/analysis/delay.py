@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..core.mid import Mid
-from ..sim.metrics import Summary, summarize
+from ..obs.metrics import Summary, summarize
 from ..types import ProcessId, Time
 
 __all__ = ["DeliveryLog", "DelayReport"]

@@ -8,13 +8,10 @@ for both of the paper's detection questions — "should I leave?" and
 * ``"k-consecutive"`` (and ``failure_detector=None``) — the paper's
   rule, extracted verbatim from the member; bit-identical behaviour.
 * ``"heartbeat"`` — eventually-perfect timeout-with-backoff over
-  HEARTBEAT PDUs (:mod:`repro.detect.heartbeat`).
+  HEARTBEAT PDUs (:mod:`repro.detect.heartbeat`), timed by the RTT
+  estimator in :mod:`repro.detect.rtt`.
 * ``"oracle"`` — a test-driven perfect detector
   (:mod:`repro.detect.oracle`).
-
-``HeartbeatDetector`` is imported lazily (it pulls in
-:mod:`repro.runtime`, which imports :mod:`repro.core` back); import it
-from :mod:`repro.detect.heartbeat` directly when needed eagerly.
 """
 
 from __future__ import annotations
@@ -23,6 +20,7 @@ from ..core.config import UrcgcConfig
 from ..errors import ConfigError
 from ..types import ProcessId
 from .base import FailureDetector, SuspicionEvent
+from .heartbeat import HeartbeatDetector
 from .kconsecutive import KConsecutiveDetector
 from .oracle import OracleDetector
 
@@ -45,11 +43,6 @@ def make_detector(pid: ProcessId, config: UrcgcConfig) -> FailureDetector:
     if spec is None or spec.kind == "k-consecutive":
         return KConsecutiveDetector(config)
     if spec.kind == "heartbeat":
-        # Lazy: repro.runtime imports repro.core.member at package
-        # import time, so pulling it in here (call time) avoids a
-        # circular import while core.member itself is loading.
-        from .heartbeat import HeartbeatDetector
-
         return HeartbeatDetector(pid, config)
     if spec.kind == "oracle":
         return OracleDetector(config)

@@ -4,7 +4,7 @@ Every member broadcasts a HEARTBEAT PDU once per ``heartbeat_every``
 subruns (any other PDU from a peer counts as liveness evidence too).
 Per peer, the detector feeds the observed inter-evidence gaps — in
 *round* units, the protocol's native clock — into an
-:class:`~repro.runtime.rtt.RttEstimator` and suspects the peer once
+:class:`~repro.detect.rtt.RttEstimator` and suspects the peer once
 its silence exceeds a conservative bound::
 
     timeout(p) = min(max_timeout,
@@ -27,10 +27,10 @@ accounting), it does not replace it.
 from __future__ import annotations
 
 from ..core.config import FailureDetectorConfig, UrcgcConfig
-from ..runtime.rtt import RttEstimator
 from ..types import ProcessId, SubrunNo
 from .base import SuspicionEvent
 from .kconsecutive import KConsecutiveDetector
+from .rtt import RttEstimator
 
 __all__ = ["HeartbeatDetector"]
 

@@ -9,7 +9,9 @@ RFC 6298 shape) fed by request→decision echoes or explicit probes.
 :class:`RttEstimator` is the pure estimation logic;
 :class:`AdaptiveRoundTimer` turns an estimate into the round interval
 (half the smoothed rtd, clamped), which the asyncio node can consult
-every tick.
+every tick.  The estimator lives with the detectors because the
+heartbeat detector times its per-peer suspicion with it;
+:mod:`repro.runtime` re-exports both names.
 """
 
 from __future__ import annotations

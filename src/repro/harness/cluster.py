@@ -1,12 +1,13 @@
-"""The simulation driver: a full urcgc group over the simulated LAN.
+"""The simulation adapter: a full urcgc group over the simulated LAN.
 
-:class:`SimCluster` instantiates one :class:`~repro.core.member.Member`
-per process, attaches each to the datagram network through its own
+:class:`SimCluster` runs one :class:`~repro.driver.NodeDriver` per
+process, attaches each to the datagram network through its own
 :class:`~repro.net.transport.MulticastTransport` entity (the Section 5
 stack: urcgc entity over a t-SAP), drives rounds with the
-:class:`~repro.sim.rounds.RoundScheduler`, executes engine effects, and
-collects every metric the paper's evaluation reports — end-to-end
-delays, control traffic, history and waiting-list occupancy.
+:class:`~repro.sim.rounds.RoundScheduler`, opens each datagram once for
+every member that receives it, and collects every metric the paper's
+evaluation reports — end-to-end delays, control traffic, history and
+waiting-list occupancy.
 """
 
 from __future__ import annotations
@@ -14,45 +15,28 @@ from __future__ import annotations
 import time
 
 from ..analysis.delay import DeliveryLog
-from ..core.batcher import Batcher, expand_message
+from ..core.batcher import expand_message
 from ..core.config import UrcgcConfig
-from ..core.effects import (
-    Confirm,
-    DecisionApplied,
-    Deliver,
-    Discarded,
-    Effect,
-    Left,
-    SuspicionChange,
-)
+from ..core.effects import SuspicionChange
 from ..core.member import Member
-from ..core.message import (
-    DecisionMessage,
-    GenerateBatch,
-    RequestMessage,
-    UserMessage,
-)
+from ..core.message import GenerateBatch, UserMessage
 from ..core.service import UrcgcService
 from ..core.validate import validate_message
+from ..driver import NodeDriver, Opened, quiescent
 from ..errors import WireFormatError
 from ..net.addressing import BROADCAST_GROUP
 from ..net.faults import FaultPlan
 from ..net.network import DatagramNetwork
 from ..net.transport import MulticastTransport
-from ..net.wire import BatchFrame, decode_message, encode_message
+from ..net.wire import BatchFrame, decode_message
 from ..obs import NULL_RECORDER, Recorder, write_jsonl
 from ..sim.kernel import Kernel
 from ..sim.rounds import RoundScheduler
-from ..storage import GroupStorage, NodeStorage, snapshot_of
+from ..storage import GroupStorage
 from ..types import ProcessId, Time
 from ..workloads.generators import NullWorkload, Workload
 
 __all__ = ["SimCluster"]
-
-#: One datagram opened for a group of size ``n``: None when it does not
-#: parse, else whether it was batched and every expanded PDU paired with
-#: its :func:`validate_message` problem (None when in range).
-_Opened = tuple[bool, tuple[tuple[object, str | None], ...]] | None
 
 
 class SimCluster:
@@ -121,34 +105,24 @@ class SimCluster:
         self.workload: Workload = workload or NullWorkload()
         self.scheduler = RoundScheduler(self.kernel, max_rounds=max_rounds)
         self.delivery_log = DeliveryLog()
-        self.members: list[Member] = []
-        self.services: list[UrcgcService] = []
         self.transports: list[MulticastTransport] = []
         self._quiescent_at: Time | None = None
         self.storage = storage
-        #: Datagrams dropped by the hardened decode path (malformed or
-        #: semantically out-of-range PDUs), cluster-wide.
-        self.decode_errors = 0
-        #: Batch-expanded duplicates suppressed before the engine.
-        self.dup_suppressed = 0
         #: One-entry memo of the last datagram opened (see ``_open``).
         self._opened_key: bytes | None = None
-        self._opened: _Opened = None
+        self._opened: Opened = None
         #: Suspicion transitions reported by members' failure
         #: detectors, as (pid, effect) pairs in occurrence order.
         self.suspicion_events: list[tuple[ProcessId, SuspicionChange]] = []
-        #: Per-member delivery logs, kept only when storage is enabled
-        #: (snapshots serialize them).
-        self.delivered: list[list[UserMessage]] | None = (
-            [[] for _ in range(config.n)] if storage is not None else None
-        )
 
+        kernel, scheduler = self.kernel, self.scheduler
+        #: One :class:`~repro.driver.NodeDriver` per member: engine,
+        #: service, batcher, storage and the effect interpreter.
+        self.drivers: list[NodeDriver] = []
         for i in range(config.n):
             pid = ProcessId(i)
-            member = Member(pid, config)
-            service = UrcgcService(member)
             transport = MulticastTransport(
-                self.kernel,
+                kernel,
                 self.network,
                 pid,
                 on_data=lambda src, data, pid=pid: self._on_data(pid, src, data),
@@ -156,25 +130,27 @@ class SimCluster:
                 mtu=mtu,
             )
             self.network.join(BROADCAST_GROUP, pid)
-            self.members.append(member)
-            self.services.append(service)
-            self.transports.append(transport)
-
-        #: Per-member wire batchers (None when batching is off): the
-        #: bookkeeping in ``_execute`` always sees the original sends;
-        #: only the transmission path goes through ``pack``.
-        self._batchers: list[Batcher] | None = (
-            [
-                Batcher(
-                    config.batching,
-                    registry=self.kernel.metrics if self._obs else None,
-                    clock=time.perf_counter if self._obs else None,
+            node_storage = storage.node(pid) if storage is not None else None
+            self.drivers.append(
+                NodeDriver(
+                    Member(pid, config),
+                    send=transport.t_data_rq,
+                    round_no=lambda: scheduler.current_round,
+                    clock=lambda: kernel.now,
+                    storage=node_storage,
+                    persist=(
+                        node_storage.save_snapshot if node_storage is not None else None
+                    ),
+                    recorder=self.recorder,
+                    perf_clock=time.perf_counter,
+                    delivery_log=self.delivery_log,
+                    trace=kernel.trace,
+                    suspicion_events=self.suspicion_events,
                 )
-                for _ in range(config.n)
-            ]
-            if config.batching is not None
-            else None
-        )
+            )
+            self.transports.append(transport)
+        self.members: list[Member] = [driver.member for driver in self.drivers]
+        self.services: list[UrcgcService] = [driver.service for driver in self.drivers]
 
         self.scheduler.subscribe(self._on_round)
         self.scheduler.start()
@@ -186,6 +162,25 @@ class SimCluster:
     @property
     def now(self) -> Time:
         return self.kernel.now
+
+    @property
+    def delivered(self) -> list[list[UserMessage]] | None:
+        """Per-member delivery logs (``services[pid].delivered``) when
+        storage is enabled — what snapshots serialize — else None."""
+        if self.storage is None:
+            return None
+        return [service.delivered for service in self.services]
+
+    @property
+    def decode_errors(self) -> int:
+        """Datagrams dropped by the hardened decode path (malformed or
+        semantically out-of-range PDUs), cluster-wide."""
+        return sum(driver.decode_errors for driver in self.drivers)
+
+    @property
+    def dup_suppressed(self) -> int:
+        """Batch-expanded duplicates suppressed before the engine."""
+        return sum(driver.dup_suppressed for driver in self.drivers)
 
     def is_active(self, pid: ProcessId) -> bool:
         """Active = not crashed and not left (the paper's group)."""
@@ -203,16 +198,7 @@ class SimCluster:
         finished = getattr(self.workload, "finished", None)
         if finished is not None and not finished(self.scheduler.current_round):
             return False
-        active = self.active_pids()
-        if not active:
-            return True
-        vectors = set()
-        for pid in active:
-            member = self.members[pid]
-            if member.pending_submissions or member.waiting_length:
-                return False
-            vectors.add(member.last_processed_vector())
-        return len(vectors) == 1
+        return quiescent(self.members[pid] for pid in self.active_pids())
 
     @property
     def quiescent_at(self) -> Time | None:
@@ -306,20 +292,13 @@ class SimCluster:
         for pid, payload in self.workload.submissions(round_no):
             if self.is_active(pid):
                 self.services[pid].data_rq(payload)
-        for i in range(self.config.n):
-            pid = ProcessId(i)
-            if not self.is_active(pid):
-                continue
-            effects = self.members[i].on_round(round_no)
-            self._execute(pid, effects)
+        for driver in self.drivers:
+            if self.is_active(driver.pid):
+                driver.tick(round_no)
         self._sample_metrics(now, round_no)
         if self._quiescent_at is None and round_no > 0 and self.quiescent():
-            has_pending = any(
-                self.members[pid].pending_submissions for pid in self.active_pids()
-            )
-            if not has_pending:
-                self._quiescent_at = now
-                self.kernel.trace.emit(now, "cluster.quiescent", None, round=round_no)
+            self._quiescent_at = now
+            self.kernel.trace.emit(now, "cluster.quiescent", None, round=round_no)
 
     def _sample_metrics(self, now: Time, round_no: int) -> None:
         metrics = self.kernel.metrics
@@ -336,7 +315,7 @@ class SimCluster:
         metrics.sample("history.max", now, max_history)
         metrics.sample("waiting.max", now, max_waiting)
 
-    def _open(self, data: bytes) -> _Opened:
+    def _open(self, data: bytes) -> Opened:
         """:meth:`_decode` ``data``, once per run of equal datagrams.
 
         ``DatagramNetwork.send`` schedules a broadcast's deliveries back
@@ -350,7 +329,7 @@ class SimCluster:
             self._opened_key = data
         return self._opened
 
-    def _decode(self, data: bytes) -> _Opened:
+    def _decode(self, data: bytes) -> Opened:
         """decode → expand → validate one datagram, for any receiver."""
         try:
             decoded = decode_message(data)
@@ -364,150 +343,5 @@ class SimCluster:
         )
 
     def _on_data(self, pid: ProcessId, src: ProcessId, data: bytes) -> None:
-        if not self.is_active(pid):
-            return
-        opened = self._open(data)
-        if opened is None:
-            # Malformed bytes (bad tag, truncated vector, garbage) are
-            # a loss at this endpoint, never a crash of the simulation.
-            self._count_decode_error(pid, "parse")
-            return
-        batched, pdus = opened
-        member = self.members[pid]
-        for message, problem in pdus:
-            if member.has_left:
-                break
-            if problem is not None:
-                # Structurally valid but semantically out of range
-                # (forged vector, member index >= n): drop the PDU.
-                self._count_decode_error(pid, "range")
-                continue
-            if (
-                batched
-                and isinstance(message, UserMessage)
-                and member.already_seen(message.mid)
-            ):
-                # A duplicated batch frame re-expands every sub-message;
-                # suppress the copies once here so duplication x
-                # batching is not multiply-counted by the engine.
-                self.dup_suppressed += 1
-                if self._obs:
-                    self.kernel.metrics.count("batch.dup_suppressed", node=int(pid))
-                continue
-            effects = member.on_message(message)
-            self._execute(pid, effects)
-
-    def _count_decode_error(self, pid: ProcessId, reason: str) -> None:
-        self.decode_errors += 1
-        if self._obs:
-            self.kernel.metrics.count(
-                "net.decode_error", node=int(pid), reason=reason
-            )
-
-    def _node_storage(self, pid: ProcessId) -> "NodeStorage | None":
-        if self.storage is None:
-            return None
-        node_storage = self.storage.node(pid)
-        if self._obs and node_storage._registry is None:
-            node_storage.bind_registry(self.kernel.metrics)
-        return node_storage
-
-    def _execute(self, pid: ProcessId, effects: list[Effect]) -> None:
-        now = self.kernel.now
-        node_storage = self._node_storage(pid)
-        sends = self.services[pid].dispatch(effects)
-        for effect in effects:
-            if isinstance(effect, Deliver):
-                self.delivery_log.on_processed(effect.message.mid, pid, now)
-                if self._obs:
-                    self.recorder.processed(effect.message.mid, node=pid, time=now)
-                if self.delivered is not None:
-                    self.delivered[pid].append(effect.message)
-                if (
-                    node_storage is not None
-                    and effect.message.mid.origin != pid
-                ):
-                    node_storage.log_processed(effect.message)
-            elif isinstance(effect, DecisionApplied):
-                if self._obs:
-                    self.recorder.decision(
-                        int(effect.decision.number), node=pid, applied=True, time=now
-                    )
-                if node_storage is not None:
-                    node_storage.log_decision(effect.decision)
-            elif isinstance(effect, Discarded):
-                # The lost message is destroyed along with its
-                # dependents: the "or none of them" branch of atomicity.
-                self.delivery_log.on_discarded((effect.lost, *effect.discarded))
-                if self._obs:
-                    self.recorder.discarded(
-                        effect.lost, node=pid, count=1 + len(effect.discarded), time=now
-                    )
-                self.kernel.trace.emit(
-                    now, "member.discarded", pid,
-                    lost=effect.lost, count=len(effect.discarded),
-                )
-            elif isinstance(effect, SuspicionChange):
-                self.suspicion_events.append((pid, effect))
-                if self._obs:
-                    self.recorder.suspect(
-                        effect.pid,
-                        suspected=effect.suspected,
-                        node=int(pid),
-                        reason=effect.reason,
-                        time=now,
-                    )
-                    self.kernel.metrics.count(
-                        "fd.suspect" if effect.suspected else "fd.unsuspect",
-                        node=int(pid),
-                    )
-                self.kernel.trace.emit(
-                    now, "member.suspect", pid,
-                    target=int(effect.pid), suspected=effect.suspected,
-                )
-            elif isinstance(effect, Left):
-                self.kernel.trace.emit(now, "member.left", pid, reason=effect.reason)
-            elif isinstance(effect, Confirm):
-                self.kernel.trace.emit(now, "member.confirm", pid, mid=effect.mid)
-        for send in sends:
-            message = send.message
-            if isinstance(message, UserMessage) and message.mid.origin == pid:
-                self.delivery_log.on_generated(message.mid, now)
-                if self._obs:
-                    self.recorder.generated(
-                        message.mid, message.deps, node=pid, time=now
-                    )
-                if node_storage is not None:
-                    # Log-before-send, as in the live runtime.
-                    node_storage.log_generated(message)
-            elif isinstance(message, RequestMessage):
-                if self._obs:
-                    self.recorder.request(int(message.subrun), node=pid, time=now)
-            elif isinstance(message, DecisionMessage):
-                decision = message.decision
-                if self._obs:
-                    self.recorder.decision(int(decision.number), node=pid, time=now)
-                self.kernel.trace.emit(
-                    now,
-                    "decision.broadcast",
-                    pid,
-                    number=int(decision.number),
-                    chain=decision.chain,
-                    full_group=decision.full_group,
-                    alive=sum(decision.alive),
-                )
-        wire_sends = (
-            self._batchers[pid].pack(sends) if self._batchers is not None else sends
-        )
-        for send in wire_sends:
-            self.transports[pid].t_data_rq(
-                send.dst, encode_message(send.message), kind=send.kind
-            )
-        if node_storage is not None and node_storage.should_snapshot():
-            node_storage.save_snapshot(
-                snapshot_of(
-                    self.members[pid],
-                    self.delivered[pid] if self.delivered is not None else (),
-                    round_no=self.scheduler.current_round,
-                )
-            )
+        if self.is_active(pid):
+            self.drivers[pid].receive(self._open(data))

@@ -13,6 +13,9 @@ the target is unambiguous:
 * ``mod.func(...)`` — via the import map (:func:`~repro.lint.engine.
   qualified_name`);
 * ``self.method(...)`` — a method of the enclosing class;
+* ``self.attr.method(...)`` — a method of the class the enclosing class
+  builds ``self.attr`` from (``self.attr = Cls(...)``, when exactly one
+  class in the tree is named ``Cls``);
 * ``obj.method(...)`` — *only* when exactly one class in the whole
   tree defines ``method`` and the name is not a common container verb
   (``append``, ``get``, ...), so ``self.storage.log_generated(...)``
@@ -27,7 +30,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from typing import Iterator
 
+from .dataflow import self_attr
 from .engine import Module, imported_names, qualified_name
 
 __all__ = ["FunctionInfo", "CallSite", "CallGraph", "build_call_graph"]
@@ -82,6 +87,8 @@ class CallGraph:
         self._methods_by_name: dict[str, list[str]] = {}
         #: (module, top-level function name) -> qualname
         self._module_functions: dict[tuple[str, str], str] = {}
+        #: (module, class, attribute) -> "module:Class" it is built from
+        self._attr_classes: dict[tuple[str, str, str], str] = {}
 
     # -- queries -------------------------------------------------------
 
@@ -129,6 +136,12 @@ class CallGraph:
             own = f"{info.module}:{info.cls}.{func.attr}"
             if own in self.functions:
                 return own
+        # self.attr.method(...) -> method of the class self.attr is built from.
+        attr = self_attr(func.value)
+        if attr is not None and info.cls is not None:
+            built = self._attr_classes.get((info.module, info.cls, attr))
+            if built is not None and f"{built}.{func.attr}" in self.functions:
+                return f"{built}.{func.attr}"
         # mod.func(...) via the import map.
         dotted = qualified_name(func, imports)
         if dotted is not None and "." in dotted:
@@ -172,15 +185,39 @@ def _functions_of(module: Module) -> list[FunctionInfo]:
     return out
 
 
+def _attribute_constructors(module: Module) -> Iterator[tuple[str, str, str]]:
+    """``(class, attr, callee)`` for each ``self.attr = callee(...)``."""
+    for cls in module.tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+                callee = node.value.func
+                for target in node.targets:
+                    attr = self_attr(target)
+                    if attr is not None and isinstance(callee, ast.Name):
+                        yield cls.name, attr, callee.id
+
+
 def build_call_graph(modules: list[Module]) -> CallGraph:
     """Index every function, then resolve every call expression."""
     graph = CallGraph()
     infos: list[tuple[FunctionInfo, dict[str, str]]] = []
+    #: class name -> "module:Class" for every top-level class
+    classes: dict[str, list[str]] = {}
+    built: list[tuple[str, str, str, str]] = []
     for module in modules:
         imports = imported_names(module.tree)
         for info in _functions_of(module):
             graph._index(info)
             infos.append((info, imports))
+        for node in module.tree.body:
+            if isinstance(node, ast.ClassDef):
+                classes.setdefault(node.name, []).append(f"{module.name}:{node.name}")
+        built.extend((module.name, *site) for site in _attribute_constructors(module))
+    for module_name, cls, attr, callee in built:
+        if len(classes.get(callee, ())) == 1:
+            graph._attr_classes[(module_name, cls, attr)] = classes[callee][0]
     for info, imports in infos:
         for node in ast.walk(info.node):
             if isinstance(node, ast.Call):

@@ -4,8 +4,8 @@ The simulator's whole value is that a seed reproduces a run bit-for-bit
 (`python -m repro torture --seed N` must replay the exact violation it
 reported), and recovery replays a WAL into the same state the crashed
 process held.  Both guarantees die the moment ``repro.core``,
-``repro.sim`` or ``repro.storage`` reads ambient state: the process
-RNG, the wall clock, or the environment.  All randomness must flow
+``repro.driver``, ``repro.sim`` or ``repro.storage`` reads ambient
+state: the process RNG, the wall clock, or the environment.  All randomness must flow
 through an injected :class:`random.Random` (usually an
 :class:`repro.sim.rng.RngRegistry` stream) and all time through the
 event kernel's clock.
@@ -21,7 +21,7 @@ from .engine import Module, Violation, imported_names, qualified_name, rule
 __all__ = ["DETERMINISM_SCOPES"]
 
 #: Packages whose behaviour must be a pure function of (inputs, seed).
-DETERMINISM_SCOPES = ("repro.core", "repro.sim", "repro.storage")
+DETERMINISM_SCOPES = ("repro.core", "repro.driver", "repro.sim", "repro.storage")
 
 #: ``random``-module functions that draw from the hidden global RNG.
 _GLOBAL_DRAWS = frozenset(

@@ -38,7 +38,7 @@ from .rules_async import _BLOCKING_SLEEPS, _STORAGE_OPS, _SYNC_IO_CALLS
 __all__ = ["INTERLEAVING_SCOPES"]
 
 #: The layers whose coroutines the I-rules police.
-INTERLEAVING_SCOPES = ("repro.runtime", "repro.svc")
+INTERLEAVING_SCOPES = ("repro.driver", "repro.runtime", "repro.svc")
 
 
 def _in_scope(module_name: str) -> bool:

@@ -41,6 +41,7 @@ TAINT_SCOPES = ("repro.runtime", "repro.svc")
 #: handler sites: an isinstance there is instrumentation, not dispatch.
 ENGINE_FAMILIES: tuple[tuple[str, str | None], ...] = (
     ("repro.core", "urcgc"),
+    ("repro.driver", "urcgc"),
     ("repro.runtime", "urcgc"),
     ("repro.net", "urcgc"),
     ("repro.storage", "urcgc"),

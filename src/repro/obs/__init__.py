@@ -7,9 +7,8 @@ surface shared by the simulator and the live asyncio runtime:
 
 * :class:`Registry` — process-wide counters, gauges, exact-percentile
   histograms and time series, labellable by node / round / message
-  family.  It absorbs the seed-era ``sim.metrics.MetricSet`` (which is
-  now an alias) and the scattered ad-hoc counters of the net, runtime
-  and storage layers.
+  family.  It absorbs the seed-era ``MetricSet`` (now an alias) and
+  the scattered ad-hoc counters of the net, runtime and storage layers.
 * :class:`Recorder` — structured span events (``subrun`` / ``request``
   / ``decision`` / ``generated`` / ``processed``) with a pluggable
   clock (simulated time or wall time), from which a message's full

@@ -3,7 +3,7 @@
 Counters, gauges, exact-percentile histograms and time series, plus
 :class:`Summary` statistics.  :class:`Registry` is the labelled bag
 every layer records into; it supersedes the seed-era
-``sim.metrics.MetricSet`` (kept as an alias) so one registry serves
+``MetricSet`` (kept as an alias) so one registry serves
 the simulator kernel, the asyncio runtime, the fault fabrics and the
 storage layer alike.
 """

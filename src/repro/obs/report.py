@@ -28,8 +28,8 @@ __all__ = ["message_timeline", "render_trace_report"]
 def _table_renderer() -> "Callable[..., str]":
     # Imported lazily: ``repro.analysis`` pulls in ``repro.core``, and a
     # module-level import here would close an import cycle when
-    # ``core.message`` → ``net`` → ``sim.metrics`` reaches this package
-    # while ``core`` is still initializing.
+    # ``core.message`` → ``net`` → ``sim.kernel`` → ``obs.metrics``
+    # reaches this package while ``core`` is still initializing.
     from ..analysis.report import render_table
 
     return render_table

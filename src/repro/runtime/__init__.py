@@ -7,10 +7,10 @@ fault-injecting :class:`ChaosFabric`.  Rounds can be sized from a live
 RTT estimate ("assuming the subrun as long as the round trip delay").
 """
 
+from ..detect.rtt import AdaptiveRoundTimer, RttEstimator
 from .chaos import ChaosFabric
 from .lan import AsyncEndpoint, AsyncLan, Datagram
 from .node import AsyncGroup, AsyncNode
-from .rtt import AdaptiveRoundTimer, RttEstimator
 from .udp import UdpEndpoint, UdpFabric
 
 __all__ = [

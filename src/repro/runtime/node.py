@@ -1,10 +1,13 @@
 """One urcgc node on the asyncio LAN.
 
-Hosts a :class:`~repro.core.member.Member` engine: a round-ticker task
-fires the two protocol rounds per subrun at a configurable cadence and
-a receiver task feeds decoded datagrams to the engine; both execute
-the engine's effects (sends to the LAN, deliveries to the application
-callback).
+Hosts one :class:`~repro.driver.NodeDriver`: a round-ticker task fires
+the two protocol rounds per subrun at a configurable cadence and a
+receiver task opens datagrams (decode → expand → validate) and feeds
+them to the driver, which executes the engine's effects (sends to the
+LAN, deliveries to the application callback).  What stays here is
+scheduling: the tasks, crash / recover, the adaptive-timer rtd sample,
+round realignment after a rejoin, and persisting snapshots off the
+event loop.
 
 Use :class:`AsyncGroup` to spin up a whole group at once.
 """
@@ -12,49 +15,44 @@ Use :class:`AsyncGroup` to spin up a whole group at once.
 from __future__ import annotations
 
 import asyncio
+import functools
 import time
+import weakref
 from typing import Callable
 
-from ..core.batcher import Batcher, expand_message
+from ..core.batcher import expand_message
 from ..core.config import UrcgcConfig
-from ..core.effects import (
-    Confirm,
-    DecisionApplied,
-    Deliver,
-    Discarded,
-    Effect,
-    Left,
-    Rejoined,
-    Send,
-    SuspicionChange,
-)
+from ..core.effects import Effect, Send, SuspicionChange
 from ..core.member import Member
-from ..core.message import (
-    DecisionMessage,
-    GenerateBatch,
-    RequestMessage,
-    UserMessage,
-)
+from ..core.message import DecisionMessage, GenerateBatch, RequestMessage, UserMessage
 from ..core.mid import Mid
 from ..core.validate import validate_message
+from ..detect.rtt import AdaptiveRoundTimer
+from ..driver import NodeDriver, Opened, quiescent
 from ..errors import WireFormatError
 from ..net.addressing import BROADCAST_GROUP
-from ..net.wire import BatchFrame, decode_message, encode_message
+from ..net.wire import BatchFrame, decode_message
 from ..obs import NULL_RECORDER, Recorder, write_jsonl
-from ..storage import (
-    GroupStorage,
-    NodeStorage,
-    SnapshotJob,
-    restore_member,
-    snapshot_of,
-)
+from ..storage import GroupStorage, MemberSnapshot, NodeStorage, SnapshotJob, restore_member
 from ..types import ProcessId, SubrunNo
 from .lan import AsyncLan
-from .rtt import AdaptiveRoundTimer
 
 __all__ = ["AsyncNode", "AsyncGroup"]
 
 IndicationCallback = Callable[[ProcessId, UserMessage], None]
+
+
+def _open(data: bytes, n: int) -> Opened:
+    """decode → expand → validate one datagram."""
+    try:
+        decoded = decode_message(data)
+        expanded = tuple(expand_message(decoded))
+    except WireFormatError:
+        return None
+    return (
+        isinstance(decoded, (BatchFrame, GenerateBatch)),
+        tuple((message, validate_message(message, n)) for message in expanded),
+    )
 
 
 class AsyncNode:
@@ -67,7 +65,7 @@ class AsyncNode:
     round_interval:
         Wall-clock seconds per protocol round (half a subrun).
     adaptive_timer:
-        Optional :class:`~repro.runtime.rtt.AdaptiveRoundTimer`: the
+        Optional :class:`~repro.detect.rtt.AdaptiveRoundTimer`: the
         node then sizes each round from the measured request→decision
         round trip ("assuming the subrun as long as the round trip
         delay"), instead of the fixed ``round_interval``.
@@ -102,49 +100,68 @@ class AsyncNode:
         self.storage = storage
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self._obs = self.recorder.enabled
-        if self._obs and storage is not None:
-            storage.bind_registry(self.recorder.registry)
-        self.member = Member(pid, config)
-        #: Wire batcher (None when batching is off).  Effect
-        #: bookkeeping always sees the original sends; only the
-        #: transmission path goes through ``pack``.
-        self._batcher: Batcher | None = (
-            Batcher(
-                config.batching,
-                registry=self.recorder.registry if self._obs else None,
-                clock=time.perf_counter if self._obs else None,
-            )
-            if config.batching is not None
-            else None
+        # The driver calls back into the node through a weak proxy: a
+        # node <-> driver cycle would keep a dropped group alive until
+        # the cyclic collector ran, and forever once gc.freeze()d.
+        node = weakref.proxy(self)
+        self._driver = NodeDriver(
+            Member(pid, config),
+            send=functools.partial(lan.sendto, pid),
+            round_no=functools.partial(AsyncNode._realigned_round, node),
+            clock=time.monotonic,
+            storage=storage,
+            persist=functools.partial(AsyncNode._start_snapshot, node),
+            recorder=self.recorder,
+            perf_clock=time.perf_counter,
         )
+        if on_indication is not None:
+            self._driver.service.set_indication_handler(functools.partial(on_indication, pid))
         self._lan = lan
         self._endpoint = lan.attach(pid)
         lan.join(BROADCAST_GROUP, pid)
         self.round_interval = round_interval
         self.adaptive_timer = adaptive_timer
         self._request_sent_at: dict[int, float] = {}
-        self._on_indication = on_indication
         self._tasks: list[asyncio.Task] = []
         #: In-flight snapshot persistence (runs on the default executor).
         self._snapshot_task: asyncio.Task | None = None
         self._round = 0
-        self.delivered: list[UserMessage] = []
-        self.confirmed_mids: list = []
-        #: Mids this node generated / saw destroyed by orphan discard —
-        #: the live analogue of the simulator's DeliveryLog, read by
-        #: the chaos harness to audit Uniform Atomicity.
-        self.generated_mids: list[Mid] = []
-        self.discarded_mids: list[Mid] = []
-        #: Datagrams dropped by the hardened decode path: structurally
-        #: malformed bytes or semantically out-of-range PDUs.
-        self.decode_errors = 0
-        #: Batch-expanded sub-messages suppressed as duplicates before
-        #: reaching the engine (fabric duplication x batching).
-        self.dup_suppressed = 0
-        #: Suspicion transitions the failure detector reported.
-        self.suspicion_events: list[SuspicionChange] = []
         self.crashed = False
         self._stopped = asyncio.Event()
+
+    # -- the driver's state (see NodeDriver), as harnesses read it -------
+
+    @property
+    def member(self) -> Member:
+        return self._driver.member
+
+    @property
+    def delivered(self) -> list[UserMessage]:
+        return self._driver.service.delivered
+
+    @property
+    def generated_mids(self) -> list[Mid]:
+        return self._driver.generated_mids
+
+    @property
+    def discarded_mids(self) -> list[Mid]:
+        return self._driver.discarded_mids
+
+    @property
+    def confirmed_mids(self) -> list[Mid]:
+        return self._driver.confirmed_mids
+
+    @property
+    def decode_errors(self) -> int:
+        return self._driver.decode_errors
+
+    @property
+    def dup_suppressed(self) -> int:
+        return self._driver.dup_suppressed
+
+    @property
+    def suspicion_events(self) -> list[SuspicionChange]:
+        return [event for _, event in self._driver.suspicion_events]
 
     # ------------------------------------------------------------------
 
@@ -229,11 +246,7 @@ class AsyncNode:
         snapshot, records = self.storage.load()
         member, delivered = restore_member(self.pid, self.config, snapshot, records)
         member.begin_rejoin()
-        self.member = member
-        self.delivered = delivered
-        self.generated_mids = [
-            message.mid for message in delivered if message.mid.origin == self.pid
-        ]
+        self._driver.restore(member, delivered)
         self._round = snapshot.round_no if snapshot is not None else 0
         self._request_sent_at.clear()
         # Datagrams queued while dead belong to the old incarnation.
@@ -252,8 +265,10 @@ class AsyncNode:
         while not self._stopped.is_set() and not self.member.has_left:
             if self._obs and self._round % 2 == 0:
                 self.recorder.subrun(self._round // 2, node=int(self.pid))
-            self._execute(self.member.on_round(self._round))
-            self._round += 1
+            effects = self._driver.tick(self._round)
+            if self.adaptive_timer is not None:
+                self._note_requests(effects)
+            self._round = self._realigned_round() + 1
             interval = (
                 self.adaptive_timer.interval()
                 if self.adaptive_timer is not None
@@ -261,177 +276,48 @@ class AsyncNode:
             )
             await asyncio.sleep(interval)
 
-    def _count_decode_error(self, reason: str) -> None:
-        self.decode_errors += 1
-        if self._obs:
-            self.recorder.registry.count(
-                "net.decode_error", node=int(self.pid), reason=reason
-            )
-
     async def _receiver(self) -> None:
-        loop = asyncio.get_running_loop()
         while not self._stopped.is_set():
             datagram = await self._endpoint.recv()
             if self.member.has_left:
                 continue
-            try:
-                decoded = decode_message(datagram.data)
-                expanded = list(expand_message(decoded))
-            except WireFormatError:
-                # Malformed datagram (bad tag, truncation, garbage):
-                # a loss, never a crash of the receive loop.
-                self._count_decode_error("parse")
-                continue
-            batched = isinstance(decoded, (BatchFrame, GenerateBatch))
-            for message in expanded:
-                if self.member.has_left:
-                    break
-                problem = validate_message(message, self.config.n)
-                if problem is not None:
-                    # Structurally valid but semantically out of range
-                    # (forged vector, member index >= n): drop it.
-                    self._count_decode_error("range")
-                    continue
-                if (
-                    batched
-                    and isinstance(message, UserMessage)
-                    and self.member.already_seen(message.mid)
-                ):
-                    # A duplicated batch frame re-expands every sub-
-                    # message; suppress the copies here so duplication
-                    # x batching does not multiply-count in the
-                    # engine's duplicate accounting.
-                    self.dup_suppressed += 1
-                    if self._obs:
-                        self.recorder.registry.count(
-                            "batch.dup_suppressed", node=int(self.pid)
-                        )
-                    continue
-                if (
-                    self.adaptive_timer is not None
-                    and isinstance(message, DecisionMessage)
-                ):
-                    # One request->decision echo = one rtd sample.
-                    sent = self._request_sent_at.pop(
-                        int(message.decision.number), None
-                    )
-                    if sent is not None:
-                        rtt = loop.time() - sent
-                        self.adaptive_timer.observe(rtt)
-                        if self._obs:
-                            self.recorder.registry.observe(
-                                "runtime.rtt", rtt, node=int(self.pid)
-                            )
-                self._execute(self.member.on_message(message))
+            opened = _open(datagram.data, self.config.n)
+            if opened is not None and self.adaptive_timer is not None:
+                self._sample_rtd(opened[1])
+            self._driver.receive(opened)
+            self._realigned_round()
 
-    def _execute(self, effects: list[Effect]) -> None:
-        sends: list[Send] = []
-        for effect in effects:
-            if isinstance(effect, Send):
-                sends.append(effect)
-                if isinstance(effect.message, RequestMessage):
-                    if self.adaptive_timer is not None:
-                        self._request_sent_at[int(effect.message.subrun)] = (
-                            asyncio.get_running_loop().time()
-                        )
-                        # Bound the table: forget ancient unanswered probes.
-                        if len(self._request_sent_at) > 64:
-                            oldest = min(self._request_sent_at)
-                            del self._request_sent_at[oldest]
-                    if self._obs:
-                        self.recorder.request(
-                            int(effect.message.subrun), node=int(self.pid)
-                        )
-                elif isinstance(effect.message, DecisionMessage):
-                    if self._obs:
-                        self.recorder.decision(
-                            int(effect.message.decision.number), node=int(self.pid)
-                        )
-                elif (
-                    isinstance(effect.message, UserMessage)
-                    and effect.message.mid.origin == self.pid
-                ):
-                    self.generated_mids.append(effect.message.mid)
-                    if self._obs:
-                        self.recorder.generated(
-                            effect.message.mid,
-                            effect.message.deps,
-                            node=int(self.pid),
-                        )
-                    if self.storage is not None:
-                        # Log-before-send: a sent message is always in
-                        # the WAL, so recovery never reuses its seq.
-                        # That ordering is why the append stays inline
-                        # (small buffered write, see docs/ANALYSIS.md).
-                        self.storage.log_generated(effect.message)  # lint: disable=I502
-            elif isinstance(effect, Deliver):
-                self.delivered.append(effect.message)
-                if self._obs:
-                    self.recorder.processed(effect.message.mid, node=int(self.pid))
-                if (
-                    self.storage is not None
-                    and effect.message.mid.origin != self.pid
-                ):
-                    # Own messages were logged at generation time.
-                    # Inline by design: the record must be durable
-                    # before the indication callback fires below
-                    # (log-before-indicate, see docs/ANALYSIS.md).
-                    self.storage.log_processed(effect.message)  # lint: disable=I502
-                if self._on_indication is not None:
-                    self._on_indication(self.pid, effect.message)
-            elif isinstance(effect, Confirm):
-                self.confirmed_mids.append(effect.mid)
-            elif isinstance(effect, Discarded):
-                self.discarded_mids.extend((effect.lost, *effect.discarded))
-                if self._obs:
-                    self.recorder.discarded(
-                        effect.lost,
-                        node=int(self.pid),
-                        count=1 + len(effect.discarded),
-                    )
-            elif isinstance(effect, DecisionApplied):
-                if self._obs:
-                    self.recorder.decision(
-                        int(effect.decision.number),
-                        node=int(self.pid),
-                        applied=True,
-                    )
-                if self.storage is not None:
-                    # Inline by design: the decision must hit the WAL
-                    # before any send it unblocks leaves this effect
-                    # batch (log-before-send, see docs/ANALYSIS.md).
-                    self.storage.log_decision(effect.decision)  # lint: disable=I502
-            elif isinstance(effect, SuspicionChange):
-                self.suspicion_events.append(effect)
-                if self._obs:
-                    self.recorder.suspect(
-                        effect.pid,
-                        suspected=effect.suspected,
-                        node=int(self.pid),
-                        reason=effect.reason,
-                    )
-                    self.recorder.registry.count(
-                        "fd.suspect" if effect.suspected else "fd.unsuspect",
-                        node=int(self.pid),
-                    )
-            elif isinstance(effect, Rejoined):
-                pass  # observable via member state / group view
-            elif isinstance(effect, Left):
-                pass  # observable via member state
-        wire_sends = self._batcher.pack(sends) if self._batcher is not None else sends
-        for send in wire_sends:
-            self._lan.sendto(
-                self.pid, send.dst, encode_message(send.message), kind=send.kind
-            )
+    def _realigned_round(self) -> int:
+        """The node's round, fast-forwarded to the group's clock once a
+        rejoin completes."""
         realign = self.member.consume_realignment()
         if realign is not None and realign > self._round:
-            # Rejoin completed: fall in step with the group's clock.
             self._round = realign
-        if self.storage is not None and self.storage.should_snapshot():
-            self._start_snapshot()
+        return self._round
 
-    def _start_snapshot(self) -> None:
-        """Capture a snapshot now; persist it off the event loop.
+    def _note_requests(self, effects: list[Effect]) -> None:
+        """Stamp each REQUEST this round sent, for :meth:`_sample_rtd`."""
+        sent_at = self._request_sent_at
+        for effect in effects:
+            if isinstance(effect, Send) and isinstance(effect.message, RequestMessage):
+                sent_at[int(effect.message.subrun)] = asyncio.get_running_loop().time()
+                if len(sent_at) > 64:  # forget ancient unanswered probes
+                    del sent_at[min(sent_at)]
+
+    def _sample_rtd(self, pdus: tuple[tuple[object, str | None], ...]) -> None:
+        """One request->decision echo = one rtd sample."""
+        assert self.adaptive_timer is not None
+        for message, problem in pdus:
+            if problem is None and isinstance(message, DecisionMessage):
+                sent = self._request_sent_at.pop(int(message.decision.number), None)
+                if sent is not None:
+                    rtt = asyncio.get_running_loop().time() - sent
+                    self.adaptive_timer.observe(rtt)
+                    if self._obs:
+                        self.recorder.registry.observe("runtime.rtt", rtt, node=int(self.pid))
+
+    def _start_snapshot(self, snapshot: MemberSnapshot) -> None:
+        """Persist a snapshot the driver captured, off the event loop.
 
         The capture (state encode + WAL tail handoff) is pure CPU and
         happens synchronously here, so the snapshot is a consistent cut
@@ -440,9 +326,7 @@ class AsyncNode:
         shared by every node in the group — keeps ticking.
         """
         assert self.storage is not None
-        job = self.storage.begin_snapshot(
-            snapshot_of(self.member, self.delivered, round_no=self._round)
-        )
+        job = self.storage.begin_snapshot(snapshot)
         self._snapshot_task = asyncio.create_task(
             self._persist_snapshot(job), name=f"urcgc-snap-p{self.pid}"
         )
@@ -520,14 +404,7 @@ class AsyncGroup:
     def quiescent(self) -> bool:
         """All live nodes agree on what was processed and have nothing
         pending or waiting (vacuously true with no live node)."""
-        live = self.live_nodes
-        if not live:
-            return True
-        if any(node.member.pending_submissions for node in live):
-            return False
-        if any(node.member.waiting_length for node in live):
-            return False
-        return len({node.member.last_processed_vector() for node in live}) == 1
+        return quiescent(node.member for node in self.live_nodes)
 
     async def crash(
         self, pid: ProcessId, *, partial_deliveries: int | None = None

@@ -1,13 +1,13 @@
 """Discrete-event simulation kernel.
 
 Deterministic event queue, rtd-denominated clock, seeded RNG streams,
-structured tracing, metric collection, and round scheduling — the
-substrate every experiment in the paper's evaluation runs on.
+structured tracing, and round scheduling — the substrate every
+experiment in the paper's evaluation runs on.  The kernel records its
+metrics into a :class:`repro.obs.Registry` (``Kernel.metrics``).
 """
 
 from .events import PRIORITY_DEFAULT, PRIORITY_NETWORK, PRIORITY_ROUND, Event, EventQueue
 from .kernel import Kernel
-from .metrics import Counter, MetricSet, Series, Summary, summarize
 from .rng import RngRegistry
 from .rounds import RoundScheduler
 from .trace import Trace, TraceRecord
@@ -19,11 +19,6 @@ __all__ = [
     "PRIORITY_NETWORK",
     "PRIORITY_ROUND",
     "Kernel",
-    "Counter",
-    "MetricSet",
-    "Series",
-    "Summary",
-    "summarize",
     "RngRegistry",
     "RoundScheduler",
     "Trace",

@@ -12,9 +12,9 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from ..errors import KernelStoppedError
+from ..obs.metrics import MetricSet
 from ..types import Time
 from .events import PRIORITY_DEFAULT, Event, EventQueue
-from .metrics import MetricSet
 from .rng import RngRegistry
 from .trace import Trace
 

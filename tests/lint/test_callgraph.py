@@ -80,6 +80,29 @@ def test_ambiguous_method_name_produces_no_edge():
     assert graph.function("m:run").callees == set()
 
 
+def test_ambiguous_method_resolves_through_the_attribute_class():
+    # Two classes define settle_down, so only the (uniquely named)
+    # class self.driver is built from can resolve the call.
+    graph = build_call_graph(
+        [
+            mod("class A:\n    def settle_down(self):\n        pass\n", "pkg.a"),
+            mod("class B:\n    def settle_down(self):\n        pass\n", "pkg.b"),
+            _build_module(
+                "from .b import B\n"
+                "class Node:\n"
+                "    def __init__(self):\n"
+                "        self.driver = B()\n"
+                "    async def loop(self, other):\n"
+                "        self.driver.settle_down()\n"
+                "        other.settle_down()\n",
+                "pkg/node.py",
+                "pkg.node",
+            ),
+        ]
+    )
+    assert graph.function("pkg.node:Node.loop").callees == {"pkg.b:B.settle_down"}
+
+
 def test_callers_of_and_coroutines():
     graph = graph_of(
         (

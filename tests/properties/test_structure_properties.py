@@ -9,7 +9,7 @@ from repro.core.message import UserMessage
 from repro.core.mid import Mid
 from repro.core.waiting import WaitingList
 from repro.sim.events import EventQueue
-from repro.sim.metrics import summarize
+from repro.obs.metrics import summarize
 from repro.types import ProcessId, SeqNo
 
 

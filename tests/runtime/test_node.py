@@ -126,3 +126,31 @@ def test_wait_until_times_out():
             await group.stop()
 
     run(main())
+
+
+def test_stopped_group_is_freed_without_the_cycle_collector():
+    """A node and its driver must not form a reference cycle: the
+    benchmark freezes the heap between groups (gc.freeze), and cyclic
+    garbage frozen there is never reclaimed."""
+    import gc
+    import weakref
+
+    from repro.storage import GroupStorage, MemoryBackend
+
+    async def main():
+        group = AsyncGroup(
+            UrcgcConfig(n=3),
+            round_interval=FAST,
+            storage=GroupStorage(MemoryBackend(), snapshot_interval=4),
+        )
+        group.start()
+        await group.run_workload([(ProcessId(0), b"m")], timeout=15)
+        await group.stop()
+        return weakref.ref(group.nodes[0]), weakref.ref(group.nodes[0].member)
+
+    gc.disable()
+    try:
+        node, member = run(main())
+        assert node() is None and member() is None
+    finally:
+        gc.enable()

@@ -8,7 +8,7 @@ from repro.core.config import UrcgcConfig
 from repro.errors import ConfigError
 from repro.runtime.lan import AsyncLan
 from repro.runtime.node import AsyncNode
-from repro.runtime.rtt import AdaptiveRoundTimer, RttEstimator
+from repro.detect.rtt import AdaptiveRoundTimer, RttEstimator
 from repro.types import ProcessId
 
 

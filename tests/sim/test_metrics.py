@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.sim.metrics import Counter, MetricSet, Series, summarize
+from repro.obs.metrics import Counter, MetricSet, Series, summarize
 
 
 class TestCounter:
