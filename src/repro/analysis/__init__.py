@@ -1,5 +1,5 @@
-"""Analysis: delay statistics, invariant checkers, analytic cost
-models, and report rendering."""
+"""Analysis: delay statistics, invariant checkers, the per-guarantee
+verdict schema, analytic cost models, and report rendering."""
 
 from .causal_graph import CausalGraph, build_causal_graph
 from .checkers import (
@@ -21,6 +21,7 @@ from .cost_models import (
 from .delay import DelayReport, DeliveryLog
 from .report import format_value, render_series, render_table
 from .timeline import SubrunSummary, Timeline, build_timeline
+from .verdict import RunResult, Verdict, audit_delivery, results_as_json
 
 __all__ = [
     "CausalGraph",
@@ -45,4 +46,8 @@ __all__ = [
     "SubrunSummary",
     "Timeline",
     "build_timeline",
+    "RunResult",
+    "Verdict",
+    "audit_delivery",
+    "results_as_json",
 ]

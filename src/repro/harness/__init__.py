@@ -1,17 +1,18 @@
 """Experiment harness: simulation drivers, per-figure experiments,
-parameter sweeps, and the experiment registry."""
+parameter sweeps, and the experiment registry.
+
+The live-runtime harnesses (:mod:`.live_torture`, :mod:`.recover_torture`,
+:mod:`.adversarial`) are imported from their modules, not here, so that
+importing the simulator does not load the asyncio runtime.
+"""
 
 from .cbcast_cluster import CbcastCluster
 from .cluster import SimCluster
-from .live_torture import LiveTortureResult, live_torture, live_torture_once
 from .sweep import SweepResult, sweep
 
 __all__ = [
     "CbcastCluster",
     "SimCluster",
-    "LiveTortureResult",
-    "live_torture",
-    "live_torture_once",
     "SweepResult",
     "sweep",
 ]

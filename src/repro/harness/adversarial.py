@@ -7,8 +7,9 @@ equivocating coordinator, a zombie rejoin under a stale incarnation,
 heartbeat suppression — plus the canonical coordinator crash, and
 audits each one guarantee by guarantee.
 
-Every scenario produces a :class:`ScenarioResult` holding one
-:class:`GuaranteeReport` per protocol guarantee:
+Every scenario produces a :class:`~repro.analysis.verdict.RunResult`
+holding one :class:`~repro.analysis.verdict.Verdict` per protocol
+guarantee:
 
 * **causal-delivery** — Definition 3.2 local causal order over every
   live node's delivery log;
@@ -17,25 +18,18 @@ Every scenario produces a :class:`ScenarioResult` holding one
 * **view-agreement** — all live members ended with the same alive
   vector, and no live member was evicted from it.
 
-A verdict is ``survived``, ``degraded``, or ``violated``; each report
-also carries the *expected* worst-acceptable verdict for its scenario,
-and the report is ``ok`` when the actual verdict is no worse than
-expected.  A guarantee whose expected verdict is ``violated`` renders
-as *violated-by-design*: the scenario deliberately exceeds what the
-protocol promises.  The CI gate fails on any report that is not ok —
-i.e. on a ``violated`` verdict for a guarantee documented as
-surviving (or degrading) the fault.
+Each verdict is judged against the scenario's documented expectation;
+the CI gate fails on any verdict worse than documented.
 
-``python -m repro chaos --scenario NAME|all`` is the CLI entry point;
-:func:`scenarios_as_json` renders the artifact CI uploads.
+``python -m repro chaos --scenario NAME|all`` is the CLI entry point.
 """
 
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass
 from typing import Awaitable, Callable, Sequence
 
+from ..analysis.verdict import RunResult, Verdict
 from ..core.config import FailureDetectorConfig, UrcgcConfig
 from ..core.message import KIND_HEARTBEAT
 from ..core.rejoin import KIND_JOIN
@@ -47,101 +41,9 @@ from ..runtime.node import AsyncGroup
 from ..storage import GroupStorage, MemoryBackend
 from ..types import ProcessId
 from .adversary import DepVectorForger, Equivocator, JoinReplayTap
-from .live_torture import audit_group
+from .live_torture import group_verdicts
 
-__all__ = [
-    "GuaranteeReport",
-    "ScenarioResult",
-    "SCENARIOS",
-    "run_scenario",
-    "run_scenarios",
-    "scenarios_as_json",
-]
-
-GUARANTEES = ("causal-delivery", "total-order", "view-agreement")
-
-_RANK = {"survived": 0, "degraded": 1, "violated": 2}
-
-
-@dataclass(frozen=True)
-class GuaranteeReport:
-    """One guarantee's fate under one adversarial scenario."""
-
-    guarantee: str
-    verdict: str
-    expected: str
-    detail: str = ""
-
-    def __post_init__(self) -> None:
-        if self.verdict not in _RANK:
-            raise ValueError(f"unknown verdict {self.verdict!r}")
-        if self.expected not in _RANK:
-            raise ValueError(f"unknown expected verdict {self.expected!r}")
-
-    @property
-    def ok(self) -> bool:
-        """The outcome is no worse than the scenario documents."""
-        return _RANK[self.verdict] <= _RANK[self.expected]
-
-    def describe(self) -> str:
-        expected = (
-            "violated-by-design" if self.expected == "violated" else self.expected
-        )
-        mark = "ok " if self.ok else "FAIL"
-        text = f"{mark} {self.guarantee:<15s} {self.verdict:<9s} (expected <= {expected})"
-        if self.detail:
-            text += f"  {self.detail}"
-        return text
-
-    def as_dict(self) -> dict:
-        return {
-            "guarantee": self.guarantee,
-            "verdict": self.verdict,
-            "expected": self.expected,
-            "by_design": self.expected == "violated",
-            "ok": self.ok,
-            "detail": self.detail,
-        }
-
-
-@dataclass(frozen=True)
-class ScenarioResult:
-    """Outcome of one named adversarial scenario."""
-
-    scenario: str
-    seed: int
-    n: int
-    quiesced: bool
-    wall_time: float
-    guarantees: tuple[GuaranteeReport, ...]
-    evidence: dict[str, int]
-
-    @property
-    def ok(self) -> bool:
-        return all(report.ok for report in self.guarantees)
-
-    def describe(self) -> str:
-        status = "ok" if self.ok else "FAIL"
-        evidence = " ".join(f"{k}={v}" for k, v in sorted(self.evidence.items()))
-        lines = [
-            f"{self.scenario:<22s} seed={self.seed} n={self.n} "
-            f"{'quiesced' if self.quiesced else 'timed out'} "
-            f"{self.wall_time:5.2f}s  {status}  [{evidence}]"
-        ]
-        lines.extend(f"    {report.describe()}" for report in self.guarantees)
-        return "\n".join(lines)
-
-    def as_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "n": self.n,
-            "quiesced": self.quiesced,
-            "wall_time": round(self.wall_time, 3),
-            "ok": self.ok,
-            "guarantees": [report.as_dict() for report in self.guarantees],
-            "evidence": dict(self.evidence),
-        }
+__all__ = ["SCENARIOS", "run_scenario", "run_scenarios"]
 
 
 # ----------------------------------------------------------------------
@@ -149,79 +51,28 @@ class ScenarioResult:
 # ----------------------------------------------------------------------
 
 
-def judge_group(
-    group: AsyncGroup,
-    *,
-    quiesced: bool,
-    expected: dict[str, str],
-) -> tuple[GuaranteeReport, ...]:
-    """Grade every guarantee over the group's final state.
-
-    The Definition 3.2 checkers provide the pass/fail substance; this
-    wrapper splits their verdicts per guarantee and downgrades
-    ``violated`` to the scenario's documented expectation only in the
-    report's ``ok`` flag — the verdict itself always tells the truth.
-    """
-    violations = audit_group(group, converged=quiesced)
-    causal = [v for v in violations if "local-causal-order" in v]
-    ordering = [v for v in violations if "local-causal-order" not in v]
-
-    reports = []
-    reports.append(
-        GuaranteeReport(
-            "causal-delivery",
-            "violated" if causal else "survived",
-            expected.get("causal-delivery", "survived"),
-            causal[0] if causal else "",
-        )
-    )
-    if ordering:
-        order_verdict = "violated"
-        order_detail = ordering[0]
-    elif not quiesced:
-        # Only prefix consistency could be audited; the full uniform
-        # ordering + atomicity claim was not establishable.
-        order_verdict = "degraded"
-        order_detail = "group did not quiesce; audited prefixes only"
-    else:
-        order_verdict = "survived"
-        order_detail = ""
-    reports.append(
-        GuaranteeReport(
-            "total-order",
-            order_verdict,
-            expected.get("total-order", "survived"),
-            order_detail,
-        )
-    )
-
+def _view_agreement(group: AsyncGroup, expected: str) -> Verdict:
+    """All live members ended with one alive vector that evicts none
+    of them."""
     live = group.live_nodes
     vectors = {tuple(node.member.view.alive_vector()) for node in live}
     if len(vectors) > 1:
-        view_verdict = "violated"
-        view_detail = f"{len(vectors)} distinct alive vectors among live members"
-    elif live and any(
-        not next(iter(vectors))[int(node.pid)] for node in live
-    ):
-        evicted = [
-            int(node.pid)
-            for node in live
-            if not next(iter(vectors))[int(node.pid)]
-        ]
-        view_verdict = "degraded"
-        view_detail = f"live member(s) {evicted} evicted from the agreed view"
-    else:
-        view_verdict = "survived"
-        view_detail = ""
-    reports.append(
-        GuaranteeReport(
+        return Verdict(
             "view-agreement",
-            view_verdict,
-            expected.get("view-agreement", "survived"),
-            view_detail,
+            "violated",
+            expected,
+            f"{len(vectors)} distinct alive vectors among live members",
         )
-    )
-    return tuple(reports)
+    agreed = next(iter(vectors), ())
+    evicted = [int(node.pid) for node in live if not agreed[int(node.pid)]]
+    if evicted:
+        return Verdict(
+            "view-agreement",
+            "degraded",
+            expected,
+            f"live member(s) {evicted} evicted from the agreed view",
+        )
+    return Verdict("view-agreement", "survived", expected)
 
 
 # ----------------------------------------------------------------------
@@ -278,15 +129,19 @@ def _result(
     wall_time: float,
     expected: dict[str, str],
     evidence: dict[str, int],
-) -> ScenarioResult:
-    return ScenarioResult(
-        scenario=name,
+) -> RunResult:
+    """Grade every guarantee over the group's final state."""
+    return RunResult(
+        family="scenario",
+        name=name,
         seed=seed,
-        n=group.config.n,
         quiesced=quiesced,
+        verdicts=(
+            *group_verdicts(group, converged=quiesced, expected=expected),
+            _view_agreement(group, expected.get("view-agreement", "survived")),
+        ),
+        evidence={"n": group.config.n, **evidence},
         wall_time=wall_time,
-        guarantees=judge_group(group, quiesced=quiesced, expected=expected),
-        evidence=evidence,
     )
 
 
@@ -297,7 +152,7 @@ def _result(
 
 async def _coordinator_crash(
     seed: int, *, budget: float, round_interval: float
-) -> ScenarioResult:
+) -> RunResult:
     """The paper's canonical failover, observed through the heartbeat
     detector: kill a rotating coordinator mid-protocol and require
     every guarantee to hold over the survivors."""
@@ -338,7 +193,7 @@ async def _coordinator_crash(
 
 async def _zombie_rejoin(
     seed: int, *, budget: float, round_interval: float
-) -> ScenarioResult:
+) -> RunResult:
     """Crash, recover, then replay the victim's own captured JOIN
     request after it was re-admitted: the stale incarnation must be
     fenced, not re-enter the membership flow."""
@@ -405,7 +260,7 @@ async def _zombie_rejoin(
 
 async def _forged_deps(
     seed: int, *, budget: float, round_interval: float
-) -> ScenarioResult:
+) -> RunResult:
     """Rewrite a member's DATA datagrams in flight — out-of-range
     dependency origins on some copies, truncation on others.  The
     hardened decode path must shed every forged copy as a loss and the
@@ -444,7 +299,7 @@ async def _forged_deps(
 
 async def _equivocation(
     seed: int, *, budget: float, round_interval: float
-) -> ScenarioResult:
+) -> RunResult:
     """A coordinator whose DECISION broadcast tells different members
     different things (conflicting stability vectors under one decision
     number).  The engines' per-number decision log must flag the
@@ -482,7 +337,7 @@ async def _equivocation(
 
 async def _heartbeat_suppression(
     seed: int, *, budget: float, round_interval: float
-) -> ScenarioResult:
+) -> RunResult:
     """Silence one member's heartbeats without crashing it.  The
     eventually-perfect detector may falsely suspect the victim between
     its coordinator turns, but the timeout backoff must prevent any
@@ -536,7 +391,7 @@ async def _heartbeat_suppression(
         await group.stop()
 
 
-ScenarioFn = Callable[..., Awaitable[ScenarioResult]]
+ScenarioFn = Callable[..., Awaitable[RunResult]]
 
 
 def _svc_scenario(name: str) -> ScenarioFn:
@@ -552,7 +407,7 @@ def _svc_scenario(name: str) -> ScenarioFn:
 
     async def run(
         seed: int, *, budget: float, round_interval: float
-    ) -> ScenarioResult:
+    ) -> RunResult:
         from ..svc.chaos import run_svc_scenario
 
         return run_svc_scenario(name, seed=seed)
@@ -580,7 +435,7 @@ def run_scenario(
     seed: int = 0,
     budget: float = 20.0,
     round_interval: float = 0.005,
-) -> ScenarioResult:
+) -> RunResult:
     """Run one named scenario to completion and grade it."""
     try:
         fn = SCENARIOS[name]
@@ -596,7 +451,7 @@ def run_scenarios(
     seeds: Sequence[int] = (0,),
     budget: float = 20.0,
     round_interval: float = 0.005,
-) -> list[ScenarioResult]:
+) -> list[RunResult]:
     """Run each named scenario for each seed (all scenarios if None)."""
     chosen = list(names) if names else sorted(SCENARIOS)
     return [
@@ -607,17 +462,3 @@ def run_scenarios(
         for seed in seeds
     ]
 
-
-def scenarios_as_json(results: Sequence[ScenarioResult]) -> dict:
-    """CI artifact: per-scenario verdicts plus a rollup."""
-    return {
-        "experiment": "adversarial-chaos",
-        "scenarios": len(results),
-        "clean": sum(1 for r in results if r.ok),
-        "failing": [
-            {"scenario": r.scenario, "seed": r.seed}
-            for r in results
-            if not r.ok
-        ],
-        "results": [r.as_dict() for r in results],
-    }

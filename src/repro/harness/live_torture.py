@@ -8,7 +8,7 @@ duplication, delay jitter), runs an
 :class:`~repro.runtime.chaos.ChaosFabric` until quiescence (or a
 wall-clock budget), then audits the per-node delivery logs with the
 Definition 3.2 checkers.  A violation reports the seed that reproduces
-it; :func:`results_as_json` renders a CI-consumable summary.
+it.
 
 ``python -m repro chaos`` is the command-line entry point.
 """
@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import asyncio
 import random
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from ..analysis.checkers import (
-    check_local_causal_order,
-    check_uniform_atomicity,
-    check_uniform_ordering,
+from ..analysis.verdict import (
+    TIMEOUT_TOLERATED,
+    RunResult,
+    Verdict,
+    audit_delivery,
+    violations_of,
 )
 from ..core.config import UrcgcConfig
 from ..core.message import UserMessage
@@ -35,65 +36,12 @@ from ..runtime.node import AsyncGroup
 from ..types import ProcessId
 
 __all__ = [
-    "LiveTortureResult",
     "audit_streams",
     "audit_group",
+    "group_verdicts",
     "live_torture_once",
     "live_torture",
-    "results_as_json",
 ]
-
-
-@dataclass(frozen=True)
-class LiveTortureResult:
-    """Outcome of one randomized live run."""
-
-    seed: int
-    n: int
-    K: int
-    crashed: int | None
-    partitioned: bool
-    omission_rate: float
-    duplication: float
-    jitter: float
-    messages: int
-    quiesced: bool
-    wall_time: float
-    drop_reasons: dict[str, int]
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def describe(self) -> str:
-        status = "ok" if self.ok else f"{len(self.violations)} VIOLATIONS"
-        crash = f"crash=p{self.crashed}" if self.crashed is not None else "crash=-"
-        return (
-            f"seed={self.seed:<6d} n={self.n} K={self.K} {crash} "
-            f"partition={'yes' if self.partitioned else 'no '} "
-            f"omission={self.omission_rate:.3f} dup={self.duplication:.2f} "
-            f"msgs={self.messages:<3d} "
-            f"{'quiesced' if self.quiesced else 'timed out'} "
-            f"{self.wall_time:5.2f}s  {status}"
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n": self.n,
-            "K": self.K,
-            "crashed": self.crashed,
-            "partitioned": self.partitioned,
-            "omission_rate": self.omission_rate,
-            "duplication": self.duplication,
-            "jitter": self.jitter,
-            "messages": self.messages,
-            "quiesced": self.quiesced,
-            "wall_time": round(self.wall_time, 3),
-            "drop_reasons": dict(self.drop_reasons),
-            "violations": list(self.violations),
-        }
 
 
 # ----------------------------------------------------------------------
@@ -110,45 +58,29 @@ def audit_streams(
     *,
     converged: bool,
 ) -> list[str]:
-    """Run every Definition 3.2 checker over collected delivery logs.
+    """Run every Definition 3.2 checker over collected delivery logs;
+    returns the lines of :func:`~repro.analysis.verdict.audit_delivery`
+    (``discarded`` is its ``voided``).
 
     ``converged=True`` asserts the quiescent-group clauses (equal
     per-origin subsequences and Uniform Atomicity over the active
     set); ``converged=False`` audits an in-flight group, where only
-    prefix consistency and local causal order must hold.  ``discarded``
-    mids — orphan discards and crash-void ranges — are exempt from
-    atomicity and excised from the ordering comparison (a site may have
-    processed a message shortly before the group voided it).
+    prefix consistency and local causal order must hold.
     """
-    violations: list[str] = []
-    voided = frozenset(discarded)
-    for pid, stream in streams.items():
-        violations.extend(
-            str(v)
-            for v in check_local_causal_order(pid, stream, voided=voided).violations
+    return violations_of(
+        audit_delivery(
+            streams, generated, processed_by, active, discarded, converged=converged
         )
-    if streams:
-        violations.extend(
-            str(v)
-            for v in check_uniform_ordering(
-                dict(streams), converged=converged, voided=voided
-            ).violations
-        )
-    if converged and active:
-        violations.extend(
-            str(v)
-            for v in check_uniform_atomicity(
-                generated,
-                {mid: set(by) for mid, by in processed_by.items()},
-                active,
-                discarded=frozenset(discarded),
-            ).violations
-        )
-    return violations
+    )
 
 
-def audit_group(group: AsyncGroup, *, converged: bool) -> list[str]:
-    """Collect a live group's delivery logs and audit them.
+def group_verdicts(
+    group: AsyncGroup,
+    *,
+    converged: bool,
+    expected: Mapping[str, str] | None = None,
+) -> tuple[Verdict, Verdict]:
+    """Collect a live group's delivery logs and grade Definition 3.2.
 
     Crashed nodes contribute what they generated, processed, and
     discarded before dying (their history matters for atomicity), but
@@ -165,9 +97,20 @@ def audit_group(group: AsyncGroup, *, converged: bool) -> list[str]:
         discarded.update(node.discarded_mids)
         for message in node.delivered:
             processed_by.setdefault(message.mid, set()).add(node.pid)
-    return audit_streams(
-        streams, generated, processed_by, active, discarded, converged=converged
+    return audit_delivery(
+        streams,
+        generated,
+        processed_by,
+        active,
+        discarded,
+        converged=converged,
+        expected=expected,
     )
+
+
+def audit_group(group: AsyncGroup, *, converged: bool) -> list[str]:
+    """:func:`group_verdicts`' checker lines."""
+    return violations_of(group_verdicts(group, converged=converged))
 
 
 # ----------------------------------------------------------------------
@@ -177,7 +120,7 @@ def audit_group(group: AsyncGroup, *, converged: bool) -> list[str]:
 
 async def _chaos_run(
     seed: int, *, budget: float, round_interval: float
-) -> LiveTortureResult:
+) -> RunResult:
     rng = random.Random(seed)
     n = rng.randint(3, 6)
     K = rng.randint(2, 3)
@@ -237,29 +180,36 @@ async def _chaos_run(
             await group.wait_until(group.quiescent, timeout=max(0.1, remaining))
         except asyncio.TimeoutError:
             quiesced = False
-        violations = audit_group(group, converged=quiesced)
+        verdicts = group_verdicts(
+            group, converged=quiesced, expected=TIMEOUT_TOLERATED
+        )
     finally:
         await group.stop()
-    return LiveTortureResult(
+    drops = fabric.stats.drop_reasons
+    return RunResult(
+        family="chaos",
+        name="chaos",
         seed=seed,
-        n=n,
-        K=K,
-        crashed=None if crashed is None else int(crashed),
-        partitioned=do_partition,
-        omission_rate=omission_rate,
-        duplication=duplication,
-        jitter=jitter,
-        messages=message_count,
         quiesced=quiesced,
+        verdicts=verdicts,
+        evidence={
+            "n": n,
+            "K": K,
+            "crashed": -1 if crashed is None else int(crashed),
+            "partitioned": int(do_partition),
+            "omission_rate": omission_rate,
+            "duplication": duplication,
+            "jitter": jitter,
+            "messages": message_count,
+            **{f"drop.{reason}": drops[reason] for reason in sorted(drops)},
+        },
         wall_time=loop.time() - started,
-        drop_reasons=dict(fabric.stats.drop_reasons),
-        violations=tuple(violations),
     )
 
 
 def live_torture_once(
     seed: int, *, budget: float = 20.0, round_interval: float = 0.005
-) -> LiveTortureResult:
+) -> RunResult:
     """One randomized live chaos scenario, fully checked."""
     return asyncio.run(_chaos_run(seed, budget=budget, round_interval=round_interval))
 
@@ -270,7 +220,7 @@ def live_torture(
     start_seed: int = 0,
     budget: float = 20.0,
     round_interval: float = 0.005,
-) -> list[LiveTortureResult]:
+) -> list[RunResult]:
     """Run ``iterations`` randomized live scenarios; returns all results."""
     return [
         live_torture_once(
@@ -279,14 +229,3 @@ def live_torture(
         for i in range(iterations)
     ]
 
-
-def results_as_json(results: Sequence[LiveTortureResult]) -> dict:
-    """CI-consumable summary: per-run records plus rollup counters."""
-    return {
-        "experiment": "chaos",
-        "iterations": len(results),
-        "clean": sum(1 for r in results if r.ok),
-        "quiesced": sum(1 for r in results if r.quiesced),
-        "failing_seeds": [r.seed for r in results if not r.ok],
-        "results": [r.as_dict() for r in results],
-    }

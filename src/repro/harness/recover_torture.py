@@ -9,16 +9,16 @@ the survivors make progress, then *recovers* the victim from its
 snapshot + WAL as a new incarnation and drives traffic through it
 again.
 
-The audit asserts the two recovery guarantees on top of Definition
-3.2:
+Each run is graded on four verdicts:
 
-* **prefix consistency** — the recovered incarnation's delivery log
+* **causal-delivery** and **total-order** — Definition 3.2 across
+  incarnations: the rejoined node's full log (both incarnations) is
+  audited together with the survivors', with crash-voided mids
+  exempted exactly like orphan discards;
+* **prefix-consistency** — the recovered incarnation's delivery log
   extends the pre-crash log: same mids, same order, nothing reordered
   or lost below the crash point;
-* **Uniform Atomicity & Uniform Ordering across incarnations** — the
-  rejoined node's full log (both incarnations) is audited together
-  with the survivors', with crash-voided mids exempted exactly like
-  orphan discards.
+* **recovery** — the rejoin completes within the run's budget.
 
 ``python -m repro recover`` is the command-line entry point.
 """
@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import asyncio
 import random
-from dataclasses import dataclass
-from typing import Sequence
 
+from ..analysis.verdict import TIMEOUT_TOLERATED, RunResult, grade
 from ..core.config import UrcgcConfig
 from ..net.faults import FaultPlan
 from ..runtime.chaos import ChaosFabric
@@ -37,69 +36,9 @@ from ..runtime.lan import AsyncLan
 from ..runtime.node import AsyncGroup
 from ..storage import GroupStorage, MemoryBackend
 from ..types import ProcessId
-from .live_torture import audit_group
+from .live_torture import group_verdicts
 
-__all__ = [
-    "RecoverTortureResult",
-    "recover_torture_once",
-    "recover_torture",
-    "results_as_json",
-]
-
-
-@dataclass(frozen=True)
-class RecoverTortureResult:
-    """Outcome of one randomized crash-and-recover run."""
-
-    seed: int
-    n: int
-    K: int
-    snapshot_interval: int
-    victim: int
-    coordinator_crash: bool
-    pre_crash_deliveries: int
-    post_recovery_deliveries: int
-    snapshots_taken: int
-    wal_replayed: int
-    recovered: bool
-    quiesced: bool
-    wall_time: float
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def describe(self) -> str:
-        status = "ok" if self.ok else f"{len(self.violations)} VIOLATIONS"
-        role = "coord" if self.coordinator_crash else "member"
-        return (
-            f"seed={self.seed:<6d} n={self.n} K={self.K} "
-            f"victim=p{self.victim}({role}) snap={self.snapshot_interval:<4d} "
-            f"log {self.pre_crash_deliveries}->{self.post_recovery_deliveries} "
-            f"replayed={self.wal_replayed:<3d} "
-            f"{'recovered' if self.recovered else 'STUCK    '} "
-            f"{'quiesced' if self.quiesced else 'timed out'} "
-            f"{self.wall_time:5.2f}s  {status}"
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n": self.n,
-            "K": self.K,
-            "snapshot_interval": self.snapshot_interval,
-            "victim": self.victim,
-            "coordinator_crash": self.coordinator_crash,
-            "pre_crash_deliveries": self.pre_crash_deliveries,
-            "post_recovery_deliveries": self.post_recovery_deliveries,
-            "snapshots_taken": self.snapshots_taken,
-            "wal_replayed": self.wal_replayed,
-            "recovered": self.recovered,
-            "quiesced": self.quiesced,
-            "wall_time": round(self.wall_time, 3),
-            "violations": list(self.violations),
-        }
+__all__ = ["recover_torture_once", "recover_torture"]
 
 
 def _check_prefix(pre_mids: list, post_mids: list) -> list[str]:
@@ -120,7 +59,7 @@ def _check_prefix(pre_mids: list, post_mids: list) -> list[str]:
 
 async def _recover_run(
     seed: int, *, budget: float, round_interval: float
-) -> RecoverTortureResult:
+) -> RunResult:
     rng = random.Random(seed)
     n = rng.randint(3, 5)
     K = rng.randint(2, 3)
@@ -141,7 +80,6 @@ async def _recover_run(
     )
     loop = asyncio.get_running_loop()
     started = loop.time()
-    violations: list[str] = []
     recovered = False
     quiesced = False
     pre_crash = 0
@@ -194,9 +132,7 @@ async def _recover_run(
             )
             recovered = True
         except asyncio.TimeoutError:
-            violations.append(
-                f"[recovery] p{victim}: rejoin did not complete within budget"
-            )
+            pass
 
         # Phase 3: the new incarnation generates alongside everyone.
         if recovered:
@@ -215,32 +151,47 @@ async def _recover_run(
             quiesced = False
 
         post_mids = [message.mid for message in node.delivered]
-        violations.extend(_check_prefix(pre_mids, post_mids))
-        violations.extend(audit_group(group, converged=quiesced and recovered))
+        verdicts = (
+            *group_verdicts(
+                group,
+                converged=quiesced and recovered,
+                expected=TIMEOUT_TOLERATED,
+            ),
+            grade("prefix-consistency", _check_prefix(pre_mids, post_mids)),
+            grade(
+                "recovery",
+                []
+                if recovered
+                else [f"[recovery] p{victim}: rejoin did not complete within budget"],
+            ),
+        )
     finally:
         await group.stop()
     node = group.nodes[victim]
-    return RecoverTortureResult(
+    return RunResult(
+        family="recover",
+        name="recover",
         seed=seed,
-        n=n,
-        K=K,
-        snapshot_interval=snapshot_interval,
-        victim=int(victim),
-        coordinator_crash=coordinator_crash,
-        pre_crash_deliveries=pre_crash,
-        post_recovery_deliveries=len(node.delivered),
-        snapshots_taken=storage.node(victim).snapshots_taken,
-        wal_replayed=wal_replayed,
-        recovered=recovered,
         quiesced=quiesced,
+        verdicts=verdicts,
+        evidence={
+            "n": n,
+            "K": K,
+            "snapshot_interval": snapshot_interval,
+            "victim": int(victim),
+            "coordinator_crash": int(coordinator_crash),
+            "pre_crash_deliveries": pre_crash,
+            "post_recovery_deliveries": len(node.delivered),
+            "snapshots_taken": storage.node(victim).snapshots_taken,
+            "wal_replayed": wal_replayed,
+        },
         wall_time=loop.time() - started,
-        violations=tuple(violations),
     )
 
 
 def recover_torture_once(
     seed: int, *, budget: float = 30.0, round_interval: float = 0.004
-) -> RecoverTortureResult:
+) -> RunResult:
     """One randomized crash-and-recover scenario, fully checked."""
     return asyncio.run(
         _recover_run(seed, budget=budget, round_interval=round_interval)
@@ -253,7 +204,7 @@ def recover_torture(
     start_seed: int = 0,
     budget: float = 30.0,
     round_interval: float = 0.004,
-) -> list[RecoverTortureResult]:
+) -> list[RunResult]:
     """Run ``iterations`` crash-and-recover scenarios; returns all."""
     return [
         recover_torture_once(
@@ -262,15 +213,3 @@ def recover_torture(
         for i in range(iterations)
     ]
 
-
-def results_as_json(results: Sequence[RecoverTortureResult]) -> dict:
-    """CI-consumable summary: per-run records plus rollup counters."""
-    return {
-        "experiment": "recover",
-        "iterations": len(results),
-        "clean": sum(1 for r in results if r.ok),
-        "recovered": sum(1 for r in results if r.recovered),
-        "quiesced": sum(1 for r in results if r.quiesced),
-        "failing_seeds": [r.seed for r in results if not r.ok],
-        "results": [r.as_dict() for r in results],
-    }

@@ -9,9 +9,12 @@ EXPERIMENTS.md quotes).
 from __future__ import annotations
 
 import argparse
+import json
+import shlex
 import sys
 from typing import Callable
 
+from ..analysis.verdict import RunResult, results_as_json
 from . import ablations, experiments
 from .compare import compare_protocols
 
@@ -99,8 +102,6 @@ def run_experiment(name: str, *, as_json: bool = False) -> str:
         ) from None
     result = runner()
     if as_json:
-        import json
-
         payload = result.as_dict()  # type: ignore[attr-defined]
         if "experiment" not in payload:
             payload = {"experiment": name, **payload}
@@ -151,6 +152,36 @@ def _report_command(trace: str | None, *, mid: str | None, demo: bool) -> int:
         return 2
     print(render_trace_report(records, mid=mid))
     return 0
+
+
+def _by_seed(result: RunResult) -> str:
+    """Replay one randomized run: its seed is the whole recipe."""
+    return f"{result.family} --iterations 1 --seed {result.seed}"
+
+
+def _print_runs(
+    results: list[RunResult],
+    *,
+    experiment: str,
+    reproduce: Callable[[RunResult], str],
+    as_json: bool = False,
+) -> int:
+    """Print graded runs — each run's verdicts, its first violations and
+    the command that replays a failing one, then a ``k/N`` rollup; or
+    the one JSON artifact.  Returns the exit code: 1 iff a run is not
+    ok."""
+    if as_json:
+        print(json.dumps(results_as_json(results, experiment=experiment), indent=2))
+    else:
+        for result in results:
+            print(result.describe())
+            for violation in result.violations[:5]:
+                print(f"    {violation}")
+            if not result.ok:
+                print(f"    reproduce: python -m repro {reproduce(result)}")
+        clean = sum(1 for r in results if r.ok)
+        print(f"{clean}/{len(results)} scenarios clean")
+    return 0 if all(r.ok for r in results) else 1
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -315,8 +346,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "report":
         return _report_command(args.trace, mid=args.mid, demo=args.demo)
     if args.command == "serve":
+        from ..obs import Registry
         from ..svc.serve import registry_report, serve
 
+        registry = Registry()
         result = serve(
             shards=args.shards,
             members=args.members,
@@ -329,18 +362,18 @@ def main(argv: list[str] | None = None) -> int:
             seed=args.seed,
             kill_frontends=args.kill_frontends,
             ring_changes=args.ring_changes,
+            registry=registry,
         )
-        print(result.describe())
-        for violation in result.violations[:10]:
-            print(f"    {violation}")
-        report = registry_report(result.registry)
+        command = shlex.join(argv)
+        code = _print_runs([result], experiment="serve", reproduce=lambda _: command)
+        report = registry_report(registry)
         print(report)
         if args.report is not None:
             with open(args.report, "w", encoding="utf-8") as fh:
                 fh.write(result.describe() + "\n\n" + report + "\n")
-        return 0 if result.ok else 1
+        return code
     if args.command == "recover":
-        from .recover_torture import recover_torture, results_as_json
+        from .recover_torture import recover_torture
 
         results = recover_torture(
             args.iterations,
@@ -348,25 +381,11 @@ def main(argv: list[str] | None = None) -> int:
             budget=args.budget,
             round_interval=args.round_interval,
         )
-        if args.json:
-            import json
-
-            print(json.dumps(results_as_json(results), indent=2))
-        else:
-            for result in results:
-                print(result.describe())
-                for violation in result.violations[:5]:
-                    print(f"    {violation}")
-                if not result.ok:
-                    print(
-                        f"    reproduce: python -m repro recover "
-                        f"--iterations 1 --seed {result.seed}"
-                    )
-            clean = sum(1 for r in results if r.ok)
-            print(f"{clean}/{args.iterations} scenarios clean")
-        return 1 if any(not r.ok for r in results) else 0
+        return _print_runs(
+            results, experiment="recover", as_json=args.json, reproduce=_by_seed
+        )
     if args.command == "chaos" and args.scenario is not None:
-        from .adversarial import SCENARIOS, run_scenarios, scenarios_as_json
+        from .adversarial import SCENARIOS, run_scenarios
 
         if args.scenario != "all" and args.scenario not in SCENARIOS:
             known = ", ".join(sorted(SCENARIOS))
@@ -378,23 +397,14 @@ def main(argv: list[str] | None = None) -> int:
             budget=args.budget,
             round_interval=args.round_interval,
         )
-        if args.json:
-            import json
-
-            print(json.dumps(scenarios_as_json(results), indent=2))
-        else:
-            for result in results:
-                print(result.describe())
-                if not result.ok:
-                    print(
-                        f"    reproduce: python -m repro chaos "
-                        f"--scenario {result.scenario} -n 1 --seed {result.seed}"
-                    )
-            clean = sum(1 for r in results if r.ok)
-            print(f"{clean}/{len(results)} scenario runs clean")
-        return 1 if any(not r.ok for r in results) else 0
+        return _print_runs(
+            results,
+            experiment="adversarial-chaos",
+            as_json=args.json,
+            reproduce=lambda r: f"chaos --scenario {r.name} -n 1 --seed {r.seed}",
+        )
     if args.command == "chaos":
-        from .live_torture import live_torture, results_as_json
+        from .live_torture import live_torture
 
         results = live_torture(
             args.iterations,
@@ -402,35 +412,14 @@ def main(argv: list[str] | None = None) -> int:
             budget=args.budget,
             round_interval=args.round_interval,
         )
-        if args.json:
-            import json
-
-            print(json.dumps(results_as_json(results), indent=2))
-        else:
-            for result in results:
-                print(result.describe())
-                for violation in result.violations[:5]:
-                    print(f"    {violation}")
-                if not result.ok:
-                    print(
-                        f"    reproduce: python -m repro chaos "
-                        f"--iterations 1 --seed {result.seed}"
-                    )
-            clean = sum(1 for r in results if r.ok)
-            print(f"{clean}/{args.iterations} scenarios clean")
-        return 1 if any(not r.ok for r in results) else 0
+        return _print_runs(
+            results, experiment="chaos", as_json=args.json, reproduce=_by_seed
+        )
     if args.command == "torture":
         from .torture import torture
 
-        failures = 0
-        for result in torture(args.iterations, start_seed=args.seed):
-            print(result.describe())
-            if not result.ok:
-                failures += 1
-                for violation in result.violations[:5]:
-                    print(f"    {violation}")
-        print(f"{args.iterations - failures}/{args.iterations} scenarios clean")
-        return 1 if failures else 0
+        results = torture(args.iterations, start_seed=args.seed)
+        return _print_runs(results, experiment="torture", reproduce=_by_seed)
     if args.command == "list":
         width = max(len(name) for name in EXPERIMENTS)
         print("experiments (python -m repro run <name>):")
@@ -447,7 +436,7 @@ def main(argv: list[str] | None = None) -> int:
             "recover": "crash-and-recover runs: WAL/snapshot restore + rejoin",
             "serve": "service-tier demo: chat clients over sharded groups "
             "(per-shard Definition 3.2 + cross-shard bridge audit)",
-            "lint": "protocol-aware static analysis (D/A/W/H rule families)",
+            "lint": "protocol-aware static analysis (D/A/W/H/I/T rule families)",
             "report": "render a JSONL observability trace (--demo to produce one)",
         }
         sub_width = max(len(name) for name in subcommands)

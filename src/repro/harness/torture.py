@@ -10,51 +10,21 @@ reported with the seed that reproduces it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+import time
 
-from ..analysis.checkers import (
-    check_local_causal_order,
-    check_uniform_atomicity,
-    check_uniform_ordering,
-)
+from ..analysis.verdict import TIMEOUT_TOLERATED, RunResult, audit_delivery
 from ..core.config import UrcgcConfig
 from ..net.faults import CrashSchedule, FaultPlan, OmissionModel
 from ..types import ProcessId
 from ..workloads.generators import BernoulliWorkload
 from .cluster import SimCluster
 
-__all__ = ["TortureResult", "torture_once", "torture"]
+__all__ = ["torture_once", "torture"]
 
 
-@dataclass(frozen=True)
-class TortureResult:
-    """Outcome of one randomized run."""
-
-    seed: int
-    n: int
-    K: int
-    crashes: int
-    omission_rate: float
-    messages: int
-    quiesced: bool
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def describe(self) -> str:
-        status = "ok" if self.ok else f"{len(self.violations)} VIOLATIONS"
-        return (
-            f"seed={self.seed:<6d} n={self.n} K={self.K} "
-            f"crashes={self.crashes} omission={self.omission_rate:.3f} "
-            f"msgs={self.messages:<4d} "
-            f"{'quiesced' if self.quiesced else 'timed out'}  {status}"
-        )
-
-
-def torture_once(seed: int) -> TortureResult:
+def torture_once(seed: int) -> RunResult:
     """One randomized scenario, fully checked."""
+    started = time.perf_counter()
     rng = random.Random(seed)
     n = rng.randint(3, 9)
     K = rng.randint(1, 4)
@@ -82,45 +52,36 @@ def torture_once(seed: int) -> TortureResult:
         seed=seed,
         trace=False,
     )
-    quiesced = cluster.run_until_quiescent(drain_subruns=2 * K + 2)
+    quiesced = cluster.run_until_quiescent(drain_subruns=2 * K + 2) is not None
 
-    violations: list[str] = []
     active = set(cluster.active_pids())
-    streams = {pid: cluster.services[pid].delivered for pid in active}
-    for pid, stream in streams.items():
-        violations.extend(
-            str(v) for v in check_local_causal_order(pid, stream).violations
-        )
-    if active:
-        violations.extend(
-            str(v)
-            for v in check_uniform_ordering(
-                streams, converged=quiesced is not None
-            ).violations
-        )
-    if quiesced is not None and active:
-        log = cluster.delivery_log
-        violations.extend(
-            str(v)
-            for v in check_uniform_atomicity(
-                log.generated_at,
-                {mid: set(by) for mid, by in log.processed_at.items()},
-                active,
-                discarded=log.discarded,
-            ).violations
-        )
-    return TortureResult(
+    log = cluster.delivery_log
+    verdicts = audit_delivery(
+        {pid: cluster.services[pid].delivered for pid in active},
+        log.generated_at,
+        log.processed_at,
+        active,
+        log.discarded,
+        converged=quiesced,
+        expected=TIMEOUT_TOLERATED,
+    )
+    return RunResult(
+        family="torture",
+        name="torture",
         seed=seed,
-        n=n,
-        K=K,
-        crashes=crash_count,
-        omission_rate=omission_rate,
-        messages=len(cluster.delivery_log.generated_at),
-        quiesced=quiesced is not None,
-        violations=tuple(violations),
+        quiesced=quiesced,
+        verdicts=verdicts,
+        evidence={
+            "n": n,
+            "K": K,
+            "crashes": crash_count,
+            "omission_rate": omission_rate,
+            "messages": len(log.generated_at),
+        },
+        wall_time=time.perf_counter() - started,
     )
 
 
-def torture(iterations: int, *, start_seed: int = 0) -> list[TortureResult]:
+def torture(iterations: int, *, start_seed: int = 0) -> list[RunResult]:
     """Run ``iterations`` randomized scenarios; returns all results."""
     return [torture_once(start_seed + i) for i in range(iterations)]

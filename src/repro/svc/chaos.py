@@ -4,26 +4,13 @@ Where :mod:`repro.harness.adversarial` torments a *single* group with
 scripted adversaries, this family torments the **service tier**: it
 kills home/delivery frontends mid-run and mutates the consistent-hash
 ring under live traffic, then grades what the tier promises
-(PROTOCOL §14.7–14.8) guarantee by guarantee:
-
-* **causal-delivery** — every shard still satisfies Definition 3.2
-  (local causal order, Uniform Ordering, Uniform Atomicity) over its
-  surviving members;
-* **bridge-ordering** — bridged publishes are processed in one
-  timestamp order at every pair of shards they share, across the kill
-  and across the topic handoff fences;
-* **acked-durability** — no acked publish is lost: every session ends
-  fully acked with an empty retransmit buffer, and every accepted
-  publish's content reached the group;
-* **stream-integrity** — every delivery stream is duplicate-free and
-  complete: each subscriber received every publish matching its
-  subscription exactly once per subscribed shard, across frontend
-  death and stream re-anchoring.
-
-Results reuse :class:`~repro.harness.adversarial.ScenarioResult` /
-:class:`~repro.harness.adversarial.GuaranteeReport`, so these
-scenarios render and gate exactly like the single-group family, and
-``python -m repro chaos --scenario all`` includes them.
+(PROTOCOL §14.7–14.8) with :func:`~repro.svc.serve.judge_tier`, the
+judge ``python -m repro serve`` uses: causal-delivery,
+bridge-ordering, acked-durability and stream-integrity, each
+documented as surviving frontend death and ring changes.  Each run is
+a :class:`~repro.analysis.verdict.RunResult`, so these scenarios
+render and gate exactly like the single-group family, and ``python -m
+repro chaos --scenario all`` includes them.
 """
 
 from __future__ import annotations
@@ -31,10 +18,9 @@ from __future__ import annotations
 import random
 import time
 
-from ..analysis.checkers import check_bridge_ordering
+from ..analysis.verdict import RunResult
 from ..errors import ProtocolError
-from ..harness.adversarial import GuaranteeReport, ScenarioResult
-from .serve import _pick_victim, audit_tier
+from .serve import Published, _pick_victim, judge_tier
 from .tier import ShardedService
 
 __all__ = ["SVC_SCENARIOS", "run_svc_scenario"]
@@ -58,7 +44,7 @@ _SUBSCRIPTIONS = 3
 _MULTI_RATIO = 0.25
 
 
-def run_svc_scenario(name: str, *, seed: int = 0) -> ScenarioResult:
+def run_svc_scenario(name: str, *, seed: int = 0) -> RunResult:
     """Run one named service-tier chaos scenario and grade it.
 
     Deterministic in ``(name, seed)``: the simulation clock drives
@@ -89,7 +75,7 @@ def run_svc_scenario(name: str, *, seed: int = 0) -> ScenarioResult:
     for j, event in enumerate(events):
         chaos_at.setdefault((j + 1) * messages // (len(events) + 1), []).append(event)
 
-    published: list[tuple[int, tuple[bytes, ...], bytes]] = []
+    published: list[Published] = []
     bridged = 0
     for i in range(messages):
         client_id = client_ids[i % len(client_ids)]
@@ -122,8 +108,8 @@ def run_svc_scenario(name: str, *, seed: int = 0) -> ScenarioResult:
         # anyway and every unsatisfied guarantee reports "degraded".
         quiesced = False
 
-    guarantees = _judge(tier, subscriptions, published, quiesced=quiesced)
     evidence = {
+        "n": tier.shards * members,
         "publishes": len(published),
         "bridged": bridged,
         "deliveries": sum(len(s.delivered) for s in tier.sessions.values()),
@@ -132,123 +118,19 @@ def run_svc_scenario(name: str, *, seed: int = 0) -> ScenarioResult:
         "dropped_pdus": tier.dropped_pdus,
         "dup_filtered": sum(s.dup_filtered for s in tier.sessions.values()),
     }
-    return ScenarioResult(
-        scenario=name,
+    return RunResult(
+        family="scenario",
+        name=name,
         seed=seed,
-        n=tier.shards * members,
         quiesced=quiesced,
-        wall_time=time.perf_counter() - started,
-        guarantees=guarantees,
+        verdicts=judge_tier(tier, subscriptions, published, quiesced=quiesced),
         evidence=evidence,
+        wall_time=time.perf_counter() - started,
     )
 
 
 def _oldest_ringed_shard(tier: ShardedService) -> int:
     return next(s for s in range(tier.shards) if not tier.router.is_removed(s))
-
-
-def _judge(
-    tier: ShardedService,
-    subscriptions: dict[int, set[bytes]],
-    published: list[tuple[int, tuple[bytes, ...], bytes]],
-    *,
-    quiesced: bool,
-) -> tuple[GuaranteeReport, ...]:
-    """Grade the four tier guarantees over the final state.
-
-    Every guarantee here is documented as *surviving* frontend death
-    and ring changes — there are no violated-by-design rows in this
-    family; any violation is a bug.
-    """
-    reports: list[GuaranteeReport] = []
-
-    causal = audit_tier(tier, quiesced=quiesced, include_bridge=False)
-    reports.append(
-        _grade(
-            "causal-delivery",
-            violations=causal,
-            degraded=not quiesced,
-            detail_ok=f"{tier.shards} shards clean under Definition 3.2",
-        )
-    )
-
-    bridge = [str(v) for v in check_bridge_ordering(tier.bridge_logs()).violations]
-    reports.append(
-        _grade(
-            "bridge-ordering",
-            violations=bridge,
-            degraded=not quiesced,
-            detail_ok="bridged stamp order agreed across all shard pairs",
-        )
-    )
-
-    durability: list[str] = []
-    for client_id, session in tier.sessions.items():
-        sent = session.next_seq - 1
-        if session.acked != sent:
-            durability.append(
-                f"c{client_id}: acked {session.acked} of {sent} publishes"
-            )
-        if session.retained:
-            durability.append(
-                f"c{client_id}: {session.retained} publishes still unacked"
-            )
-        if session.queued:
-            durability.append(f"c{client_id}: {session.queued} publishes never sent")
-    reports.append(
-        _grade(
-            "acked-durability",
-            violations=durability,
-            degraded=not quiesced,
-            detail_ok=f"{len(published)} publishes fully acked, none lost",
-        )
-    )
-
-    integrity: list[str] = []
-    for client_id, session in tier.sessions.items():
-        per_shard: dict[int, list[tuple[int, int]]] = {}
-        for deliver in session.delivered:
-            per_shard.setdefault(deliver.shard, []).append(
-                (deliver.origin, deliver.origin_seq)
-            )
-        for shard, ids in per_shard.items():
-            if len(ids) != len(set(ids)):
-                integrity.append(
-                    f"c{client_id} s{shard}: {len(ids) - len(set(ids))} duplicate "
-                    "deliveries"
-                )
-        got = {d.payload for d in session.delivered}
-        interest = subscriptions[client_id]
-        for _, pub_topics, payload in published:
-            if interest.intersection(pub_topics) and payload not in got:
-                integrity.append(f"c{client_id}: never received {payload!r}")
-    reports.append(
-        _grade(
-            "stream-integrity",
-            violations=integrity,
-            degraded=not quiesced,
-            detail_ok="all streams duplicate-free and complete",
-        )
-    )
-    return tuple(reports)
-
-
-def _grade(
-    guarantee: str, *, violations: list[str], degraded: bool, detail_ok: str
-) -> GuaranteeReport:
-    if violations:
-        return GuaranteeReport(
-            guarantee,
-            "violated",
-            "survived",
-            "; ".join(violations[:3])
-            + (f" (+{len(violations) - 3} more)" if len(violations) > 3 else ""),
-        )
-    if degraded:
-        return GuaranteeReport(
-            guarantee, "degraded", "survived", "run did not quiesce; partial audit"
-        )
-    return GuaranteeReport(guarantee, "survived", "survived", detail_ok)
 
 
 #: name -> seed-parameterized factory (the adversarial registry wraps

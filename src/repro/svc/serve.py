@@ -8,77 +8,30 @@ sessions, Zipf-popular topics
 fraction of multi-topic publishes that cross shards through the
 causal bridge.
 
-After the run every shard is audited with the Definition 3.2 checkers
-(local causal order, Uniform Ordering, Uniform Atomicity) and the
-bridged traffic with :func:`~repro.analysis.checkers.check_bridge_ordering`;
-the client-tier counters land in one obs :class:`~repro.obs.Registry`
-whose report the CLI prints (and CI archives).
+After the run :func:`judge_tier` grades the four tier guarantees —
+Definition 3.2 per shard, bridge ordering across shards, acked
+durability and stream integrity per session — the same judge the
+failover scenarios (:mod:`repro.svc.chaos`) use.  The client-tier
+counters land in one obs :class:`~repro.obs.Registry` whose report the
+CLI prints (and CI archives).
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 
-from ..analysis.checkers import (
-    check_bridge_ordering,
-    check_local_causal_order,
-    check_uniform_atomicity,
-    check_uniform_ordering,
-)
+from ..analysis.checkers import check_bridge_ordering
+from ..analysis.verdict import RunResult, Verdict, audit_delivery, grade, violations_of
 from ..errors import ConfigError, ProtocolError
 from ..obs import Registry
 from ..workloads.generators import ZipfTopics
 from .tier import ShardedService
 
-__all__ = ["ServeResult", "audit_tier", "serve", "registry_report"]
+__all__ = ["audit_tier", "judge_tier", "serve", "registry_report"]
 
-
-@dataclass
-class ServeResult:
-    """Outcome of one serve run, checker verdicts included.
-
-    ``wall_s`` times the traffic phase — first publish to settled tier;
-    session set-up and the audit are outside it — and is the base of
-    the two rates :meth:`describe` prints.
-    """
-
-    shards: int
-    members: int
-    clients: int
-    sessions: int
-    publishes: int
-    acked: int
-    bridged: int
-    deliveries: int
-    pdus_moved: int
-    quiesced: bool
-    wall_s: float
-    violations: tuple[str, ...] = ()
-    failovers: int = 0
-    moved_topics: int = 0
-    registry: Registry = field(default_factory=Registry, repr=False)
-
-    @property
-    def ok(self) -> bool:
-        return self.quiesced and not self.violations
-
-    def describe(self) -> str:
-        verdict = "OK" if self.ok else "FAIL"
-        chaos = (
-            f" failovers={self.failovers} moved_topics={self.moved_topics}"
-            if self.failovers or self.moved_topics
-            else ""
-        )
-        return (
-            f"serve[{verdict}] shards={self.shards} clients={self.clients} "
-            f"sessions={self.sessions} publishes={self.publishes} "
-            f"(bridged={self.bridged}) deliveries={self.deliveries}{chaos} "
-            f"violations={len(self.violations)} wall={self.wall_s:.3f}s "
-            f"({self.acked / self.wall_s:.0f} acked publishes/s, "
-            f"{self.deliveries / self.wall_s:.0f} deliveries/s)"
-        )
+#: One publish as the driver sent it: ``(client_id, topics, payload)``.
+Published = tuple[int, tuple[bytes, ...], bytes]
 
 
 def audit_tier(
@@ -87,49 +40,117 @@ def audit_tier(
     """Audit every shard with the Definition 3.2 checkers plus the
     cross-shard bridge-ordering checker; returns violation strings.
 
-    Shared by :func:`serve` and the failover chaos scenarios
-    (:mod:`repro.svc.chaos`, which grade the bridge as its own
-    guarantee and pass ``include_bridge=False`` here).  Iterates
-    ``tier.shards`` — the *current* count, so shards added by a
-    mid-run rebalance are audited too.  Crashed members are excluded
-    (their logs legitimately stop early); the converged-only checks
-    (uniform ordering's completeness arm, uniform atomicity) apply
-    only to quiesced runs.
+    :func:`judge_tier` grades the bridge as its own guarantee and
+    passes ``include_bridge=False`` here.  Iterates ``tier.shards`` —
+    the *current* count, so shards added by a mid-run rebalance are
+    audited too.  Crashed members are excluded (their logs
+    legitimately stop early); the converged-only checks (uniform
+    ordering's completeness arm, uniform atomicity) apply only to
+    quiesced runs.
     """
     violations: list[str] = []
     for shard in range(tier.shards):
         cluster = tier.clusters[shard]
-        active = set(cluster.active_pids())
-        streams = tier.shard_streams(shard)
-        for pid, stream in streams.items():
-            violations.extend(
-                f"s{shard}: {v}"
-                for v in check_local_causal_order(pid, stream).violations
-            )
-        if active:
-            violations.extend(
-                f"s{shard}: {v}"
-                for v in check_uniform_ordering(streams, converged=quiesced).violations
-            )
-        if quiesced and active:
-            log = cluster.delivery_log
-            violations.extend(
-                f"s{shard}: {v}"
-                for v in check_uniform_atomicity(
-                    log.generated_at,
-                    {mid: set(by) for mid, by in log.processed_at.items()},
-                    active,
-                    discarded=log.discarded,
-                ).violations
-            )
+        log = cluster.delivery_log
+        verdicts = audit_delivery(
+            tier.shard_streams(shard),
+            log.generated_at,
+            log.processed_at,
+            set(cluster.active_pids()),
+            log.discarded,
+            converged=quiesced,
+        )
+        violations.extend(f"s{shard}: {line}" for line in violations_of(verdicts))
         tier.registry.set_gauge(
-            "svc.shard.processed", len(cluster.delivery_log.generated_at), shard=shard
+            "svc.shard.processed", len(log.generated_at), shard=shard
         )
     if include_bridge:
         violations.extend(
             str(v) for v in check_bridge_ordering(tier.bridge_logs()).violations
         )
     return violations
+
+
+def judge_tier(
+    tier: ShardedService,
+    subscriptions: dict[int, set[bytes]],
+    published: list[Published],
+    *,
+    quiesced: bool,
+) -> tuple[Verdict, ...]:
+    """Grade the four tier guarantees over the final state.
+
+    * **causal-delivery** — every shard satisfies Definition 3.2 over
+      its surviving members (:func:`audit_tier`);
+    * **bridge-ordering** — bridged publishes are processed in one
+      timestamp order at every pair of shards they share;
+    * **acked-durability** — every session ends fully acked with an
+      empty retransmit buffer;
+    * **stream-integrity** — each subscriber received every publish
+      matching its subscription, and no delivery twice per shard.
+
+    Every guarantee is documented as *surviving* frontend death and
+    ring changes; a run that did not quiesce is ``degraded``.
+    """
+    bridge = [str(v) for v in check_bridge_ordering(tier.bridge_logs()).violations]
+
+    durability: list[str] = []
+    integrity: list[str] = []
+    for client_id, session in tier.sessions.items():
+        sent = session.next_seq - 1
+        if session.acked != sent:
+            durability.append(
+                f"c{client_id}: acked {session.acked} of {sent} publishes"
+            )
+        if session.retained:
+            durability.append(
+                f"c{client_id}: {session.retained} publishes still unacked"
+            )
+        if session.queued:
+            durability.append(f"c{client_id}: {session.queued} publishes never sent")
+        per_shard: dict[int, list[tuple[int, int]]] = {}
+        for deliver in session.delivered:
+            per_shard.setdefault(deliver.shard, []).append(
+                (deliver.origin, deliver.origin_seq)
+            )
+        for shard, ids in per_shard.items():
+            if len(ids) != len(set(ids)):
+                integrity.append(
+                    f"c{client_id} s{shard}: {len(ids) - len(set(ids))} duplicate "
+                    "deliveries"
+                )
+        got = {d.payload for d in session.delivered}
+        interest = subscriptions[client_id]
+        for _, pub_topics, payload in published:
+            if interest.intersection(pub_topics) and payload not in got:
+                integrity.append(f"c{client_id}: never received {payload!r}")
+
+    return (
+        grade(
+            "causal-delivery",
+            audit_tier(tier, quiesced=quiesced, include_bridge=False),
+            quiesced=quiesced,
+            detail=f"{tier.shards} shards clean under Definition 3.2",
+        ),
+        grade(
+            "bridge-ordering",
+            bridge,
+            quiesced=quiesced,
+            detail="bridged stamp order agreed across all shard pairs",
+        ),
+        grade(
+            "acked-durability",
+            durability,
+            quiesced=quiesced,
+            detail=f"{len(published)} publishes fully acked, none lost",
+        ),
+        grade(
+            "stream-integrity",
+            integrity,
+            quiesced=quiesced,
+            detail="all streams duplicate-free and complete",
+        ),
+    )
 
 
 def serve(
@@ -147,8 +168,13 @@ def serve(
     kill_frontends: int = 0,
     ring_changes: int = 0,
     registry: Registry | None = None,
-) -> ServeResult:
-    """Run the sharded-chat demo and audit it.
+) -> RunResult:
+    """Run the sharded-chat demo and grade it with :func:`judge_tier`.
+
+    The result's ``wall_time`` times the traffic phase — first publish
+    to settled tier; session set-up and the audit are outside it — and
+    is the base of the two rates in its evidence.  The client-tier
+    counters land in ``registry`` (a fresh one when not given).
 
     Parameters
     ----------
@@ -206,9 +232,12 @@ def serve(
         if clients > population
         else list(range(clients))
     )
+    interests: dict[int, set[bytes]] = {}
     for client_id in client_ids:
         tier.connect(client_id)
-        tier.subscribe(client_id, zipf.subscription(min(subscriptions, topics)))
+        interest = zipf.subscription(min(subscriptions, topics))
+        interests[client_id] = set(interest)
+        tier.subscribe(client_id, interest)
 
     # Spread the chaos events (frontend kills, ring growth) evenly
     # across the publish schedule so failover and handoff run against
@@ -219,6 +248,7 @@ def serve(
         index = (j + 1) * messages // (len(events) + 1)
         chaos_at.setdefault(index, []).append(event)
 
+    published: list[Published] = []
     bridged = 0
     started = time.perf_counter()
     for i in range(messages):
@@ -229,9 +259,9 @@ def serve(
             publish_topics = (zipf.draw(),)
         if len(tier.router.shards_for(publish_topics)) > 1:
             bridged += 1
-        tier.publish(
-            client_id, publish_topics, b"m%d from c%d" % (i, client_id)
-        )
+        payload = b"m%d from c%d" % (i, client_id)
+        tier.publish(client_id, publish_topics, payload)
+        published.append((client_id, publish_topics, payload))
         for event in chaos_at.get(i, ()):
             if event == "kill":
                 victim = _pick_victim(tier)
@@ -252,27 +282,34 @@ def serve(
         quiesced = False
     wall_s = time.perf_counter() - started
 
-    violations = audit_tier(tier, quiesced=quiesced)
+    verdicts = judge_tier(tier, interests, published, quiesced=quiesced)
 
+    acked = sum(s.acked for s in tier.sessions.values())
     deliveries = sum(len(s.delivered) for s in tier.sessions.values())
     registry.set_gauge("svc.deliveries.total", deliveries)
     registry.set_gauge("svc.pdus.moved", tier.pdus_moved)
-    return ServeResult(
-        shards=tier.shards,
-        members=members,
-        clients=clients,
-        sessions=len(client_ids),
-        publishes=messages,
-        acked=sum(s.acked for s in tier.sessions.values()),
-        bridged=bridged,
-        deliveries=deliveries,
-        pdus_moved=tier.pdus_moved,
+    return RunResult(
+        family="serve",
+        name="serve",
+        seed=seed,
         quiesced=quiesced,
-        wall_s=wall_s,
-        violations=tuple(violations),
-        failovers=tier.failovers,
-        moved_topics=tier.moved_topics,
-        registry=registry,
+        verdicts=verdicts,
+        evidence={
+            "shards": tier.shards,
+            "members": members,
+            "clients": clients,
+            "sessions": len(client_ids),
+            "publishes": messages,
+            "acked": acked,
+            "bridged": bridged,
+            "deliveries": deliveries,
+            "pdus_moved": tier.pdus_moved,
+            "failovers": tier.failovers,
+            "moved_topics": tier.moved_topics,
+            "acked_per_s": acked / wall_s,
+            "deliveries_per_s": deliveries / wall_s,
+        },
+        wall_time=wall_s,
     )
 
 

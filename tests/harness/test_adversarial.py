@@ -2,13 +2,9 @@
 
 import pytest
 
+from repro.analysis.verdict import Verdict, results_as_json
 from repro.core.config import FailureDetectorConfig, UrcgcConfig
-from repro.harness.adversarial import (
-    SCENARIOS,
-    GuaranteeReport,
-    run_scenario,
-    scenarios_as_json,
-)
+from repro.harness.adversarial import SCENARIOS, run_scenario
 from repro.net.faults import FaultPlan
 from repro.harness.cluster import SimCluster
 from repro.types import ProcessId
@@ -21,27 +17,27 @@ from repro.workloads.generators import ScriptedWorkload
 
 
 def test_guarantee_report_ranks_verdicts():
-    assert GuaranteeReport("total-order", "survived", "survived").ok
-    assert GuaranteeReport("total-order", "survived", "degraded").ok
-    assert GuaranteeReport("total-order", "degraded", "degraded").ok
-    assert not GuaranteeReport("total-order", "degraded", "survived").ok
-    assert not GuaranteeReport("total-order", "violated", "degraded").ok
-    assert GuaranteeReport("total-order", "violated", "violated").ok
+    assert Verdict("total-order", "survived", "survived").ok
+    assert Verdict("total-order", "survived", "degraded").ok
+    assert Verdict("total-order", "degraded", "degraded").ok
+    assert not Verdict("total-order", "degraded", "survived").ok
+    assert not Verdict("total-order", "violated", "degraded").ok
+    assert Verdict("total-order", "violated", "violated").ok
 
 
 def test_guarantee_report_renders_violated_by_design():
-    report = GuaranteeReport("view-agreement", "violated", "violated")
+    report = Verdict("view-agreement", "violated", "violated")
     assert "violated-by-design" in report.describe()
     assert report.as_dict()["by_design"] is True
-    benign = GuaranteeReport("view-agreement", "survived", "survived")
+    benign = Verdict("view-agreement", "survived", "survived")
     assert benign.as_dict()["by_design"] is False
 
 
 def test_guarantee_report_rejects_unknown_verdicts():
     with pytest.raises(ValueError):
-        GuaranteeReport("total-order", "shrugged", "survived")
+        Verdict("total-order", "shrugged", "survived")
     with pytest.raises(ValueError):
-        GuaranteeReport("total-order", "survived", "shrugged")
+        Verdict("total-order", "survived", "shrugged")
 
 
 def test_unknown_scenario_name_raises():
@@ -58,7 +54,7 @@ def test_forged_deps_scenario_survives_and_sheds_forgeries():
     result = run_scenario("forged-deps", seed=1, budget=15.0)
     assert result.ok, result.describe()
     assert result.evidence["decode_errors"] > 0
-    assert {r.guarantee for r in result.guarantees} == {
+    assert {v.guarantee for v in result.verdicts} == {
         "causal-delivery",
         "total-order",
         "view-agreement",
@@ -73,12 +69,13 @@ def test_equivocation_scenario_detects_the_fork():
 
 def test_scenarios_as_json_rollup():
     result = run_scenario("coordinator-crash", seed=1, budget=15.0)
-    payload = scenarios_as_json([result])
-    assert payload["scenarios"] == 1
+    payload = results_as_json([result], experiment="adversarial-chaos")
+    assert payload["runs"] == 1
     assert payload["clean"] in (0, 1)
     record = payload["results"][0]
-    assert record["scenario"] == "coordinator-crash"
-    assert len(record["guarantees"]) == 3
+    assert record["family"] == "scenario"
+    assert record["name"] == "coordinator-crash"
+    assert len(record["verdicts"]) == 3
 
 
 def test_registry_names_are_the_documented_fault_family():

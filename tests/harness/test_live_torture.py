@@ -1,33 +1,23 @@
 """Tests for the live chaos harness and its auditing path."""
 
+from repro.analysis.verdict import RunResult, audit_delivery, grade, results_as_json
 from repro.core.message import UserMessage
 from repro.core.mid import Mid
-from repro.harness.live_torture import (
-    LiveTortureResult,
-    audit_streams,
-    live_torture_once,
-    results_as_json,
-)
+from repro.harness.live_torture import audit_streams, live_torture_once
 from repro.types import ProcessId
 
 P0, P1 = ProcessId(0), ProcessId(1)
 
 
 def _result(seed, violations=()):
-    return LiveTortureResult(
+    return RunResult(
+        family="chaos",
+        name="chaos",
         seed=seed,
-        n=3,
-        K=2,
-        crashed=None,
-        partitioned=False,
-        omission_rate=0.0,
-        duplication=0.0,
-        jitter=0.0,
-        messages=3,
         quiesced=True,
+        verdicts=(grade("causal-delivery", list(violations)), grade("total-order", [])),
+        evidence={"n": 3, "K": 2, "messages": 3},
         wall_time=0.5,
-        drop_reasons={},
-        violations=tuple(violations),
     )
 
 
@@ -71,6 +61,31 @@ def test_audit_catches_permuted_log():
     assert violations  # causal order and/or uniform ordering broken
 
 
+def test_each_causal_violation_reported_once():
+    """One inverted pair at one of two sites is three local-causal-order
+    defects (a missing dependency and two seq jumps), each reported
+    once, and filed under causal-delivery, not total-order."""
+    m1 = UserMessage(Mid(P0, 1), deps=())
+    m2 = UserMessage(Mid(P0, 2), deps=(m1.mid,))
+    logs = (
+        {P0: [m1, m2], P1: [m2, m1]},
+        [m1.mid, m2.mid],
+        {m1.mid: {P0, P1}, m2.mid: {P0, P1}},
+        {P0, P1},
+        set(),
+    )
+    violations = audit_streams(*logs, converged=True)
+    causal = [v for v in violations if v.startswith("[local-causal-order]")]
+    assert len(causal) == len(set(causal)) == 3
+
+    delivery, order = audit_delivery(*logs, converged=True)
+    assert delivery.guarantee == "causal-delivery"
+    assert delivery.verdict == "violated"
+    assert list(delivery.violations) == causal
+    assert order.verdict == "violated"  # p1's origin-0 subsequence conflicts
+    assert all("local-causal-order" not in v for v in order.violations)
+
+
 def test_audit_catches_atomicity_hole():
     """A message one active member processed and another did not (and
     that nobody discarded) violates Uniform Atomicity when converged."""
@@ -91,19 +106,21 @@ def test_violating_result_reports_seed():
     assert not result.ok
     text = result.describe()
     assert "seed=412" in text
-    assert "VIOLATIONS" in text
+    assert "FAIL" in text
+    assert "uniform ordering broken at p1" in text
 
 
 def test_results_as_json_shape():
     results = [_result(5), _result(6, ["boom"])]
-    payload = results_as_json(results)
+    payload = results_as_json(results, experiment="chaos")
     assert payload["experiment"] == "chaos"
-    assert payload["iterations"] == 2
+    assert payload["runs"] == 2
     assert payload["clean"] == 1
     assert payload["quiesced"] == 2
-    assert payload["failing_seeds"] == [6]
-    assert payload["results"][1]["violations"] == ["boom"]
+    assert payload["failing"] == [{"name": "chaos", "seed": 6}]
+    assert payload["results"][1]["verdicts"][0]["violations"] == ["boom"]
     assert payload["results"][0]["seed"] == 5
+    assert payload["results"][0]["evidence"]["n"] == 3
 
 
 def test_cli_chaos(capsys):

@@ -7,29 +7,29 @@ from repro.svc.chaos import SVC_SCENARIOS, run_svc_scenario
 class TestScenarioRuns:
     def test_frontend_failover_survives(self):
         result = run_svc_scenario("frontend-failover", seed=1)
-        assert result.ok, [g for g in result.guarantees if g.verdict != "survived"]
+        assert result.ok, [v for v in result.verdicts if v.verdict != "survived"]
         assert result.evidence["failovers"] == 2
         assert result.evidence["dropped_pdus"] == 0
         assert result.evidence["deliveries"] > 0
 
     def test_shard_rebalance_survives(self):
         result = run_svc_scenario("shard-rebalance", seed=1)
-        assert result.ok, [g for g in result.guarantees if g.verdict != "survived"]
+        assert result.ok, [v for v in result.verdicts if v.verdict != "survived"]
         assert result.evidence["moved_topics"] > 0
         # One fence crosses the bridge per (old, new) shard pair.
         assert result.evidence["bridged"] > 0
 
     def test_verdict_shape(self):
         result = run_svc_scenario("frontend-failover", seed=0)
-        names = {g.guarantee for g in result.guarantees}
+        names = {v.guarantee for v in result.verdicts}
         assert names == {
             "causal-delivery",
             "bridge-ordering",
             "acked-durability",
             "stream-integrity",
         }
-        for g in result.guarantees:
-            assert g.expected == "survived"
+        for v in result.verdicts:
+            assert v.expected == "survived"
 
 
 class TestRegistry:
@@ -46,5 +46,5 @@ class TestRegistry:
 
         run = SCENARIOS["frontend-failover"]
         result = asyncio.run(run(0, budget=1, round_interval=0.01))
-        assert result.scenario == "frontend-failover"
+        assert result.name == "frontend-failover"
         assert result.ok
