@@ -1,7 +1,6 @@
 """Analysis: delay statistics, invariant checkers, the per-guarantee
 verdict schema, analytic cost models, and report rendering."""
 
-from .causal_graph import CausalGraph, build_causal_graph
 from .checkers import (
     CheckResult,
     Violation,
@@ -24,8 +23,6 @@ from .timeline import SubrunSummary, Timeline, build_timeline
 from .verdict import RunResult, Verdict, audit_delivery, results_as_json
 
 __all__ = [
-    "CausalGraph",
-    "build_causal_graph",
     "CheckResult",
     "Violation",
     "check_bridge_ordering",

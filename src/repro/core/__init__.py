@@ -10,13 +10,10 @@ flow control of Section 6.
 from .causality import (
     CausalContext,
     ContiguousDependencyTracker,
-    FullCausalContext,
-    SetDependencyTracker,
     validate_deps,
 )
 from .config import LeaveRule, UrcgcConfig
 from .decision import Decision, RequestInfo, compute_decision, initial_decision
-from .deliverer import CausalDeliverer
 from .effects import (
     Confirm,
     DecisionApplied,
@@ -58,8 +55,6 @@ from .waiting import WaitingList
 __all__ = [
     "CausalContext",
     "ContiguousDependencyTracker",
-    "FullCausalContext",
-    "SetDependencyTracker",
     "validate_deps",
     "LeaveRule",
     "UrcgcConfig",
@@ -67,7 +62,6 @@ __all__ = [
     "RequestInfo",
     "compute_decision",
     "initial_decision",
-    "CausalDeliverer",
     "Confirm",
     "DecisionApplied",
     "Deliver",

@@ -9,19 +9,15 @@ for p" are published.  This module provides:
   (each of its messages depends on its previous one) and may declare a
   dependency on the last processed message of any other process.
   Consequently a message depends on at most ``n`` others.
-* :class:`FullCausalContext` — the unrestricted Definition 3.1: a
-  process may root several concurrent sequences.  Used by the
-  causality-interpretation ablation.
-* :func:`validate_deps` — structural checks shared by both.
-* :class:`SetDependencyTracker` / :class:`ContiguousDependencyTracker`
-  — receiver-side "is every dependency processed?" predicates; the
-  contiguous one exploits the intermediate interpretation (per-origin
-  processing is in seq order), the set one handles arbitrary DAGs.
+* :func:`validate_deps` — structural checks on a dependency list.
+* :class:`ContiguousDependencyTracker` — the receiver-side "is every
+  dependency processed?" predicate.  It exploits the intermediate
+  interpretation: per-origin processing is in seq order.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Protocol
+from typing import Iterable
 
 from ..errors import CausalityViolationError
 from ..types import ProcessId, SeqNo
@@ -30,10 +26,7 @@ from .mid import NO_MESSAGE, Mid
 __all__ = [
     "validate_deps",
     "CausalContext",
-    "FullCausalContext",
-    "DependencyTracker",
     "ContiguousDependencyTracker",
-    "SetDependencyTracker",
 ]
 
 
@@ -141,67 +134,6 @@ class CausalContext:
         return mid, validate_deps(mid, deps)
 
 
-class FullCausalContext:
-    """Unrestricted Definition 3.1: several concurrent own sequences.
-
-    Each generated message either extends one of the process's existing
-    sequences or roots a new one.  Mids stay ``(origin, seq)`` with a
-    single per-origin counter (uniqueness), but the chain structure is
-    explicit in the dependency lists rather than implied by ``seq``.
-    """
-
-    def __init__(self, pid: ProcessId) -> None:
-        self.pid = pid
-        self._counter: SeqNo = NO_MESSAGE
-        self._sequence_heads: dict[str, Mid] = {}
-        self._last_processed: dict[ProcessId, Mid] = {}
-
-    @property
-    def sequences(self) -> list[str]:
-        return sorted(self._sequence_heads)
-
-    def note_processed(self, mid: Mid) -> None:
-        if mid.origin == self.pid:
-            return
-        current = self._last_processed.get(mid.origin)
-        if current is None or mid.seq > current.seq:
-            self._last_processed[mid.origin] = mid
-
-    def next_message(
-        self,
-        *,
-        sequence: str = "main",
-        new_root: bool = False,
-        significant: Iterable[ProcessId] = (),
-    ) -> tuple[Mid, tuple[Mid, ...]]:
-        """Allocate the next mid on ``sequence``.
-
-        ``new_root=True`` starts the sequence afresh (no dependency on
-        its previous head), realizing point (i) of Definition 3.1 where
-        a process roots several concurrent chains.
-        """
-        self._counter = SeqNo(self._counter + 1)
-        mid = Mid(self.pid, self._counter)
-        deps: list[Mid] = []
-        head = self._sequence_heads.get(sequence)
-        if head is not None and not new_root:
-            deps.append(head)
-        for origin in sorted(set(significant)):
-            dep = self._last_processed.get(origin)
-            if dep is not None:
-                deps.append(dep)
-        self._sequence_heads[sequence] = mid
-        return mid, validate_deps(mid, deps)
-
-
-class DependencyTracker(Protocol):
-    """Receiver-side predicate: has a mid been processed yet?"""
-
-    def is_processed(self, mid: Mid) -> bool: ...
-
-    def mark_processed(self, mid: Mid) -> None: ...
-
-
 class ContiguousDependencyTracker:
     """Tracker exploiting per-origin in-order processing.
 
@@ -296,21 +228,3 @@ class ContiguousDependencyTracker:
             else:
                 break
         return frontier
-
-
-class SetDependencyTracker:
-    """Tracker for arbitrary dependency DAGs (full Definition 3.1)."""
-
-    def __init__(self) -> None:
-        self._processed: set[Mid] = set()
-
-    def is_processed(self, mid: Mid) -> bool:
-        return mid in self._processed
-
-    def mark_processed(self, mid: Mid) -> None:
-        if mid in self._processed:
-            raise CausalityViolationError(f"{mid} processed twice")
-        self._processed.add(mid)
-
-    def __len__(self) -> int:
-        return len(self._processed)

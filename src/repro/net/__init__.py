@@ -8,7 +8,6 @@ fault plan covering crashes, send/receive omissions, and subnet loss.
 """
 
 from .addressing import BROADCAST_GROUP, Address, GroupAddress, UnicastAddress
-from .capture import CaptureRecord, Direction, PacketCapture
 from .faults import CrashSchedule, DropDecision, FaultPlan, OmissionModel, PartitionMap
 from .fragmentation import FRAGMENT_HEADER_BYTES, Fragmenter, Reassembler
 from .network import DEFAULT_ONE_WAY_DELAY, ETHERNET_MTU, DatagramNetwork
@@ -45,9 +44,6 @@ __all__ = [
     "Packet",
     "KindStats",
     "NetworkStats",
-    "CaptureRecord",
-    "Direction",
-    "PacketCapture",
     "EthernetBus",
     "FixedDelay",
     "JitteredDelay",

@@ -19,8 +19,6 @@ Layers, bottom-up:
   placement and the cross-shard intersection rule.
 * :mod:`repro.svc.tier` — the assembly: ``S`` simulated groups behind
   one publish/subscribe API.
-* :mod:`repro.svc.groups` — call-style client/server roles layered on
-  a single group (promoted from the pre-tier sketch).
 * :mod:`repro.svc.serve` — the ``python -m repro serve`` demo harness.
 * :mod:`repro.svc.chaos` — the failover/rebalance scenario family
   (frontend kills, ring changes) graded per guarantee (§14.7-14.8).
@@ -30,7 +28,6 @@ from .bridge import CausalBridge
 from .chaos import SVC_SCENARIOS, run_svc_scenario
 from .envelope import ENVELOPE_MAGIC, Envelope
 from .frontend import DeliveryStream, Frontend, HomeSession
-from .groups import CallHandle, ClientServerGroup, Role, first_reply, majority_vote
 from .router import ShardRouter
 from .session import ClientSession, SessionState
 from .tier import ShardedService
@@ -48,13 +45,11 @@ from .wire import (
 __all__ = [
     "ACK_DELIVER",
     "ACK_PUBLISH",
-    "CallHandle",
     "CausalBridge",
     "ClientAck",
     "ClientDeliver",
     "ClientHello",
     "ClientPublish",
-    "ClientServerGroup",
     "ClientSession",
     "DeliveryStream",
     "ENVELOPE_MAGIC",
@@ -63,12 +58,9 @@ __all__ = [
     "HomeSession",
     "MAX_TOPICS",
     "MAX_TOPIC_LEN",
-    "Role",
     "SVC_SCENARIOS",
     "SessionState",
     "ShardRouter",
     "ShardedService",
-    "first_reply",
-    "majority_vote",
     "run_svc_scenario",
 ]

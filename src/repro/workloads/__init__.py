@@ -11,7 +11,6 @@ from .generators import (
     ZipfTopics,
     payload_for,
 )
-from .replay import ReplayWorkload
 from .scenarios import (
     consecutive_coordinator_crashes,
     crashes,
@@ -29,7 +28,6 @@ __all__ = [
     "ScriptedWorkload",
     "Workload",
     "ZipfTopics",
-    "ReplayWorkload",
     "payload_for",
     "consecutive_coordinator_crashes",
     "crashes",

@@ -5,8 +5,6 @@ import pytest
 from repro.core.causality import (
     CausalContext,
     ContiguousDependencyTracker,
-    FullCausalContext,
-    SetDependencyTracker,
     validate_deps,
 )
 from repro.core.mid import Mid
@@ -106,35 +104,6 @@ class TestCausalContext:
         assert len(deps) <= 10
 
 
-class TestFullCausalContext:
-    def test_multiple_roots(self):
-        context = FullCausalContext(ProcessId(0))
-        mid_a, deps_a = context.next_message(sequence="a")
-        mid_b, deps_b = context.next_message(sequence="b")
-        assert deps_a == ()
-        assert deps_b == ()  # independent root: no chain between a and b
-        assert mid_a != mid_b
-
-    def test_sequences_chain_independently(self):
-        context = FullCausalContext(ProcessId(0))
-        a1, _ = context.next_message(sequence="a")
-        b1, _ = context.next_message(sequence="b")
-        a2, deps = context.next_message(sequence="a")
-        assert deps == (a1,)
-
-    def test_new_root_restarts_chain(self):
-        context = FullCausalContext(ProcessId(0))
-        context.next_message(sequence="a")
-        _, deps = context.next_message(sequence="a", new_root=True)
-        assert deps == ()
-
-    def test_significant_external_deps(self):
-        context = FullCausalContext(ProcessId(0))
-        context.note_processed(m(1, 7))
-        _, deps = context.next_message(significant=[ProcessId(1)])
-        assert m(1, 7) in deps
-
-
 class TestContiguousTracker:
     def test_in_order_processing(self):
         tracker = ContiguousDependencyTracker()
@@ -161,19 +130,3 @@ class TestContiguousTracker:
         tracker.mark_processed(m(0, 1))
         tracker.mark_processed(m(2, 1))
         assert tracker.snapshot() == {ProcessId(0): 1, ProcessId(2): 1}
-
-
-class TestSetTracker:
-    def test_arbitrary_order(self):
-        tracker = SetDependencyTracker()
-        tracker.mark_processed(m(0, 5))
-        assert tracker.is_processed(m(0, 5))
-        assert not tracker.is_processed(m(0, 1))
-        tracker.mark_processed(m(0, 1))
-        assert len(tracker) == 2
-
-    def test_double_processing_rejected(self):
-        tracker = SetDependencyTracker()
-        tracker.mark_processed(m(0, 1))
-        with pytest.raises(CausalityViolationError):
-            tracker.mark_processed(m(0, 1))

@@ -13,7 +13,7 @@ per-kind traffic, the delivery log and the Definition 3.2 verdicts.
 
 import random
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.checkers import (
@@ -47,9 +47,20 @@ class _CountingCluster(SimCluster):
 
 
 class _DecodeEveryCopy(_CountingCluster):
-    """The reference: every reception is decoded fresh."""
+    """The reference: every reception is decoded fresh.
+
+    It also counts ``repeats``: receptions whose bytes equal the
+    previous reception's, which are exactly the ones the one-entry memo
+    spares.
+    """
+
+    repeats = 0
+    _previous = None
 
     def _open(self, data):
+        if data == self._previous:
+            self.repeats += 1
+        self._previous = data
         return self._decode(data)
 
 
@@ -152,6 +163,24 @@ def _verdicts(cluster: SimCluster, quiesced):
 
 
 @given(scenarios())
+# With K=1 the faults shrink this group to two members early on.  Each
+# datagram then has one live receiver, no reception repeats the one
+# before it, and both sides decode all 129 datagrams.
+@example(
+    {
+        "n": 3,
+        "K": 1,
+        "seed": 367,
+        "load": 0.2,
+        "burst": 1,
+        "omission": 0.1,
+        "duplication": 0.0,
+        "mutation": 0.0,
+        "corruption": 0.03,
+        "batching": False,
+        "mtu": None,
+    }
+)
 @settings(
     max_examples=25,
     deadline=None,
@@ -177,8 +206,6 @@ def test_decode_once_equals_decode_every_copy(scenario):
     assert fast.delivery_log == slow.delivery_log
     assert _verdicts(fast, fast_quiesced) == _verdicts(slow, slow_quiesced)
 
-    # The memo engaged: never more decodes, and a broadcast reaching
-    # two or more members was opened once.
-    assert fast.decodes <= slow.decodes
-    if slow.decodes:
-        assert fast.decodes < slow.decodes
+    # The memo spared exactly the receptions that repeat the previous
+    # one's bytes, and decoded everything else once.
+    assert fast.decodes == slow.decodes - slow.repeats

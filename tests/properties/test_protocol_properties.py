@@ -93,58 +93,6 @@ def test_member_idempotent_under_duplicates(data):
 
 
 # ----------------------------------------------------------------------
-# General causal deliverer over random DAGs
-# ----------------------------------------------------------------------
-
-
-@st.composite
-def random_dag_messages(draw):
-    """Messages whose deps form a random DAG (edges point backwards in
-    generation order, so acyclicity holds by construction)."""
-    from repro.core.mid import Mid as _Mid
-
-    count = draw(st.integers(0, 12))
-    messages = []
-    for i in range(count):
-        origin = ProcessId(draw(st.integers(0, 3)))
-        # Unique mids: per-origin running counters.
-        seq = sum(1 for m in messages if m.mid.origin == origin) + 1
-        candidates = [m.mid for m in messages if m.mid.origin != origin or True]
-        deps = []
-        seen_origins = set()
-        for dep in draw(st.permutations(candidates)):
-            if len(deps) >= 3:
-                break
-            if dep.origin in seen_origins or (dep.origin == origin and dep.seq >= seq):
-                continue
-            if draw(st.booleans()):
-                deps.append(dep)
-                seen_origins.add(dep.origin)
-        messages.append(UserMessage(_Mid(origin, SeqNo(seq)), tuple(deps)))
-    return messages
-
-
-@given(st.data())
-@settings(max_examples=60, deadline=None)
-def test_general_deliverer_any_arrival_order(data):
-    from repro.core.deliverer import CausalDeliverer
-
-    pool = data.draw(random_dag_messages())
-    arrival = data.draw(st.permutations(pool))
-    deliverer = CausalDeliverer()
-    deliverer.check_acyclic(pool)
-    delivered = []
-    for message in arrival:
-        delivered.extend(deliverer.receive(message))
-    assert {m.mid for m in delivered} == {m.mid for m in pool}
-    seen = set()
-    for message in delivered:
-        assert all(dep in seen for dep in message.deps)
-        seen.add(message.mid)
-    assert deliverer.waiting_count == 0
-
-
-# ----------------------------------------------------------------------
 # Decision computation invariants
 # ----------------------------------------------------------------------
 

@@ -1,18 +1,33 @@
-"""Tests for the promoted client-server group structure."""
+"""Tests for the client-server group structure (paper Section 3).
+
+``ClientServerGroup`` lives in ``examples/replicated_kv_store.py``, its
+one caller; these tests load it from there.
+"""
+
+import importlib.util
+import pathlib
+import sys
 
 import pytest
 
 from repro.core.config import UrcgcConfig
 from repro.errors import ConfigError, ProtocolError
 from repro.harness.cluster import SimCluster
-from repro.svc.groups import (
-    CallHandle,
-    ClientServerGroup,
-    Role,
-    first_reply,
-    majority_vote,
-)
 from repro.types import ProcessId
+
+_EXAMPLE = (
+    pathlib.Path(__file__).resolve().parents[2] / "examples" / "replicated_kv_store.py"
+)
+_spec = importlib.util.spec_from_file_location("replicated_kv_store", _EXAMPLE)
+kv_store = importlib.util.module_from_spec(_spec)
+sys.modules[_spec.name] = kv_store  # dataclasses resolve their module here
+_spec.loader.exec_module(kv_store)
+
+CallHandle = kv_store.CallHandle
+ClientServerGroup = kv_store.ClientServerGroup
+Role = kv_store.Role
+first_reply = kv_store.first_reply
+majority_vote = kv_store.majority_vote
 
 
 def build_cs_cluster(n=4, servers=(0, 1), handler=None):
