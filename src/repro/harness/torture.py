@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import random
 import time
+import traceback
+from pathlib import Path
 
-from ..analysis.verdict import TIMEOUT_TOLERATED, RunResult, audit_delivery
+from ..analysis.verdict import TIMEOUT_TOLERATED, RunResult, audit_delivery, grade
 from ..core.config import UrcgcConfig
 from ..net.faults import CrashSchedule, FaultPlan, OmissionModel
 from ..types import ProcessId
@@ -83,5 +85,36 @@ def torture_once(seed: int) -> RunResult:
 
 
 def torture(iterations: int, *, start_seed: int = 0) -> list[RunResult]:
-    """Run ``iterations`` randomized scenarios; returns all results."""
-    return [torture_once(start_seed + i) for i in range(iterations)]
+    """Run ``iterations`` randomized scenarios; returns all results.
+
+    An exception out of a scenario is graded, not raised: that seed's
+    result carries a violated ``no-exception`` verdict naming the
+    exception, with its traceback in ``evidence``, and the next seed
+    still runs.
+    """
+    return [_torture_graded(start_seed + i) for i in range(iterations)]
+
+
+def _torture_graded(seed: int) -> RunResult:
+    started = time.perf_counter()
+    try:
+        return torture_once(seed)
+    except Exception as exc:
+        raised = f"{type(exc).__name__}: {exc}"
+        frames = traceback.extract_tb(exc.__traceback__)
+        return RunResult(
+            family="torture",
+            name="torture",
+            seed=seed,
+            quiesced=False,
+            verdicts=(grade("no-exception", [f"seed {seed} raised {raised}"]),),
+            evidence={
+                "exception": type(exc).__name__,
+                # innermost frame first, one line
+                "traceback": " < ".join(
+                    f"{Path(frame.filename).name}:{frame.lineno} {frame.name}"
+                    for frame in reversed(frames)
+                ),
+            },
+            wall_time=time.perf_counter() - started,
+        )

@@ -91,9 +91,12 @@ class ClientSession:
         self._deliver_cursor: dict[int, int] = {}
         #: Current stream generation per shard (bumps on re-anchor).
         self._epoch: dict[int, int] = {}
-        #: Publish identities accepted per shard stream (the failover
-        #: dedupe: a re-anchored stream replays history, the session
-        #: keeps only what it has not seen on that shard).
+        #: Publish identities accepted per re-anchored shard stream (the
+        #: failover dedupe: a re-anchored stream replays history, the
+        #: session keeps only what it has not seen on that shard).  Until
+        #: its first re-anchor a stream never repeats a publish — a
+        #: frontend fans each envelope out once — so a shard's set is
+        #: built from :attr:`delivered` by :meth:`reanchor`.
         self._seen: dict[int, set[tuple[int, int]]] = {}
 
     # ------------------------------------------------------------------
@@ -163,13 +166,18 @@ class ClientSession:
         Called when the stream moves to a successor frontend: the
         cursor restarts at 0, the epoch bumps (so stragglers from the
         dead frontend's stream are dropped, not mis-sequenced), and
-        the per-shard seen-set keeps replayed history from
+        the per-shard seen-set — built here from :attr:`delivered` on
+        the shard's first re-anchor — keeps replayed history from
         re-appearing in :attr:`delivered`.  Returns the new epoch for
         the driver to hand to the successor.
         """
         epoch = self._epoch.get(shard, 0) + 1
         self._epoch[shard] = epoch
         self._deliver_cursor[shard] = 0
+        if shard not in self._seen:
+            self._seen[shard] = {
+                (d.origin, d.origin_seq) for d in self.delivered if d.shard == shard
+            }
         return epoch
 
     # ------------------------------------------------------------------
@@ -295,13 +303,14 @@ class ClientSession:
                 f"{deliver.deliver_seq}, expected {expected}"
             )
         self._deliver_cursor[deliver.shard] = deliver.deliver_seq
-        seen = self._seen.setdefault(deliver.shard, set())
-        key = (deliver.origin, deliver.origin_seq)
-        if key in seen:
-            self.dup_filtered += 1
-        else:
+        seen = self._seen.get(deliver.shard)
+        if seen is not None:
+            key = (deliver.origin, deliver.origin_seq)
+            if key in seen:
+                self.dup_filtered += 1
+                return
             seen.add(key)
-            self.delivered.append(deliver)
+        self.delivered.append(deliver)
 
     def ack_delivers(self, shard: int) -> ClientAck:
         """Cumulative delivery ack for one shard stream."""

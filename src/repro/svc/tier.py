@@ -49,7 +49,14 @@ from .envelope import Envelope
 from .frontend import Frontend
 from .router import ShardRouter
 from .session import ClientSession
-from .wire import ACK_DELIVER, ACK_PUBLISH, ClientAck, ClientDeliver, ClientPublish
+from .wire import (
+    ACK_DELIVER,
+    ACK_PUBLISH,
+    ClientAck,
+    ClientDeliver,
+    ClientPublish,
+    _decode_drained,
+)
 
 __all__ = ["ShardedService", "HANDOFF_ORIGIN"]
 
@@ -148,7 +155,10 @@ class ShardedService:
 
     def _build_shard(self, shard: int) -> None:
         cluster = SimCluster(
-            self.config, seed=self._seed + shard, max_rounds=self._max_rounds
+            self.config,
+            seed=self._seed + shard,
+            max_rounds=self._max_rounds,
+            trace=False,
         )
         row = [
             Frontend(
@@ -332,10 +342,11 @@ class ShardedService:
     def pump(self) -> int:
         """Shuttle pending frontend → client PDUs until none remain.
 
-        Frontends emit encoded frames; each is decoded through the
-        global wire registry on its way to the session, so the client
-        side runs the same codec and validation a socket deployment
-        would.  Every outbox drained is one batch: the streams it
+        Frontends emit encoded frames; each is decoded on its way to
+        the session with the codec and validation a socket deployment
+        would run.  A drained outbox shares one tail memo, so a
+        publish's deliveries in it share one parsed topic and payload
+        (PROTOCOL §14.1).  Every outbox drained is one batch: the streams it
         delivered on are each acknowledged once, cumulatively, after
         it (which may un-park more fan-out for the next pass).
         Returns the number of frames moved.
@@ -351,8 +362,11 @@ class ShardedService:
                 progress = True
                 moved += len(batch)
                 owed: dict[tuple[int, int], None] = {}  # insertion-ordered set
+                tails: dict[bytes, tuple] = {}
                 for client_id, frame in batch:
-                    stream = self._to_client(client_id, global_registry.decode(frame))
+                    stream = self._to_client(
+                        client_id, _decode_drained(client_id, frame, tails)
+                    )
                     if stream is not None:
                         owed[stream] = None
                 for client_id, shard in owed:

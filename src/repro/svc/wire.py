@@ -65,6 +65,14 @@ _HELLO_HEAD = struct.Struct("!QHII")  # client_id, credit, resume_seq, acked_seq
 _PUB_HEAD = struct.Struct("!QI")  # client_id, client_seq
 # client_id, shard, deliver_seq, origin, origin_seq, epoch
 _DELIVER_HEAD = struct.Struct("!QHIQIH")
+# A CLIENT_DELIVER splits after deliver_seq: the stream head differs per
+# subscriber; the tail (origin, origin_seq, epoch, then topic and
+# payload) is the same for every subscriber of one publish on one
+# stream generation.
+_DELIVER_STREAM = struct.Struct("!QHI")  # client_id, shard, deliver_seq
+_DELIVER_TAIL = struct.Struct("!QIH")  # origin, origin_seq, epoch
+#: Offset of the shared tail in a frame: the tag, then the stream head.
+_DELIVER_TAIL_AT = 1 + _DELIVER_STREAM.size
 # kind, client_id, shard, ack_seq, credit, resume_seq, epoch
 _ACK_HEAD = struct.Struct("!BQHIHIH")
 # The fan-out's whole fixed prefix in one pack: the tag, then _DELIVER_HEAD.
@@ -184,7 +192,7 @@ class ClientPublish:
         return cls(client_id, client_seq, topics, payload)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClientDeliver:
     """One causal delivery fanned out to a subscribed session.
 
@@ -229,14 +237,47 @@ class ClientDeliver:
 
     @classmethod
     def decode_fields(cls, reader: Reader) -> "ClientDeliver":
-        client_id, shard, deliver_seq, origin, origin_seq, epoch = reader.unpack(
-            _DELIVER_HEAD
-        )
-        topic = reader.bytes_field()
-        payload = reader.bytes_field()
-        return cls(
-            client_id, shard, deliver_seq, origin, origin_seq, topic, payload, epoch
-        )
+        client_id, shard, deliver_seq = reader.unpack(_DELIVER_STREAM)
+        return cls(client_id, shard, deliver_seq, *_read_deliver_tail(reader))
+
+
+def _read_deliver_tail(reader: Reader) -> tuple[int, int, bytes, bytes, int]:
+    """A CLIENT_DELIVER's fields after ``deliver_seq``, in
+    :class:`ClientDeliver` field order: ``origin, origin_seq, topic,
+    payload, epoch``."""
+    origin, origin_seq, epoch = reader.unpack(_DELIVER_TAIL)
+    return origin, origin_seq, reader.bytes_field(), reader.bytes_field(), epoch
+
+
+def _decode_drained(client_id: int, frame: bytes, tails: dict[bytes, tuple]) -> object:
+    """Decode one ``(client_id, frame)`` entry of a drained frontend
+    outbox; equal to ``global_registry.decode(frame)``.
+
+    ``tails`` is the drain's memo: each distinct CLIENT_DELIVER tail is
+    parsed once, and every delivery built from it shares its ``origin``,
+    ``topic`` and ``payload`` objects (a publish's fan-out then holds one
+    copy per drain, not one per subscriber).  The decoded ``client_id``
+    is replaced by the equal addressee object for the same reason.
+    ``ClientDeliver.__post_init__`` still validates every frame.  Any
+    other PDU, and any frame this path rejects, goes through the
+    registry, which decodes it or raises its own error.
+    """
+    if len(frame) < _DELIVER_TAIL_AT or frame[0] != _TAG_CLIENT_DELIVER:
+        return global_registry.decode(frame)
+    tail = frame[_DELIVER_TAIL_AT:]
+    try:
+        fields = tails.get(tail)
+        if fields is None:
+            reader = Reader(tail)
+            fields = _read_deliver_tail(reader)
+            reader.expect_end()
+            tails[tail] = fields
+        head_id, shard, deliver_seq = _DELIVER_STREAM.unpack_from(frame, 1)
+        if head_id == client_id:
+            head_id = client_id
+        return ClientDeliver(head_id, shard, deliver_seq, *fields)
+    except WireFormatError:
+        return global_registry.decode(frame)
 
 
 def deliver_body(topic: bytes, payload: bytes) -> bytes:
