@@ -15,21 +15,23 @@ Paper's claims checked here:
 
 import math
 
+import pytest
 from conftest import run_once
 
 from repro.harness.experiments import figure5_agreement
 
 
-def test_figure5_agreement(benchmark):
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_figure5_agreement(benchmark, K):
     result = run_once(
         benchmark,
-        lambda: figure5_agreement(n=10, K=2, f_values=(0, 1, 2, 3, 4, 5)),
+        lambda: figure5_agreement(n=10, K=K, f_values=(0, 1, 2, 3, 4, 5)),
     )
     print()
     print(result.render())
 
     rows = result.rows
-    K = result.K
+    assert result.K == K
     for f, urcgc_sim, urcgc_paper, cbcast_sim, cbcast_paper in rows:
         assert not math.isnan(urcgc_sim), f"urcgc never agreed at f={f}"
         assert not math.isnan(cbcast_sim), f"cbcast never agreed at f={f}"
@@ -38,8 +40,12 @@ def test_figure5_agreement(benchmark):
         assert urcgc_paper == 2 * K + f
         assert cbcast_paper == K * (5 * f + 6)
 
-    # urcgc slope in f is ~1 rtd per extra coordinator crash.
+    # Both points are timed from the first crash, so adding a
+    # coordinator crash to the plain member's never speeds agreement up.
     urcgc_vals = [row[1] for row in rows]
+    assert urcgc_vals[0] <= urcgc_vals[1], urcgc_vals
+
+    # urcgc slope in f is ~1 rtd per extra coordinator crash.
     deltas = [b - a for a, b in zip(urcgc_vals[1:], urcgc_vals[2:])]
     assert all(0.5 <= d <= 2.0 for d in deltas), deltas
 

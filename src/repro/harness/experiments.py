@@ -222,7 +222,7 @@ def _measure_urcgc_agreement(n: int, K: int, f: int, *, seed: int = 1) -> float:
         if agreed_at[0] is not None:
             return
         now = cluster.kernel.now
-        if f > 0 and now <= crash_start:
+        if now <= crash_start:
             return
         for pid in cluster.active_pids():
             member = cluster.members[pid]
@@ -237,7 +237,7 @@ def _measure_urcgc_agreement(n: int, K: int, f: int, *, seed: int = 1) -> float:
     cluster.kernel.run(stop_when=lambda: agreed_at[0] is not None)
     if agreed_at[0] is None:
         return float("nan")
-    return agreed_at[0] - (crash_start if f > 0 else 0.0)
+    return agreed_at[0] - crash_start
 
 
 def _measure_cbcast_agreement(n: int, K: int, f: int, *, seed: int = 1) -> float:

@@ -3,12 +3,14 @@
 The driver opens each distinct datagram once and hands every receiver
 the same objects.  These tests pin what makes that safe and what it
 buys: the sharing itself (one object per broadcast, not one per
-receiver), the immutability it rests on (every group PDU is hashable,
-so a mutable field would fail here rather than alias state across
-members), and the memo's robustness to whatever arrives in between.
+receiver, and one ``Mid`` per id however often it is decoded), the
+immutability it rests on (every group PDU is hashable, so a mutable
+field would fail here rather than alias state across members), and the
+memo's robustness to whatever arrives in between.
 """
 
 import pathlib
+import random
 
 import pytest
 
@@ -18,9 +20,14 @@ from repro.core.config import UrcgcConfig
 from repro.core.message import UserMessage
 from repro.core.mid import Mid
 from repro.harness.cluster import SimCluster
+from repro.net.faults import FaultPlan
 from repro.net.wire import decode_message, encode_message
 from repro.types import ProcessId, SeqNo
-from repro.workloads.generators import NullWorkload, ScriptedWorkload
+from repro.workloads.generators import (
+    BernoulliWorkload,
+    NullWorkload,
+    ScriptedWorkload,
+)
 
 VECTORS = pathlib.Path(__file__).parents[1] / "net" / "vectors"
 GROUP_VECTORS = sorted(
@@ -42,6 +49,31 @@ def test_one_broadcast_generate_is_one_object_at_every_receiver():
     latest = [cluster.services[pid].delivered[-1] for pid in range(1, 5)]
     assert latest[0].mid == Mid(ProcessId(0), SeqNo(1))
     assert all(message is latest[0] for message in latest)
+
+
+def test_every_delivered_id_is_one_object_across_the_group():
+    # Lossy, so recoveries decode some messages again, in new datagrams.
+    pids = [ProcessId(i) for i in range(8)]
+    faults = FaultPlan(rng=random.Random(3))
+    faults.set_uniform_omission(pids, 0.01)
+    cluster = SimCluster(
+        UrcgcConfig(n=8, K=3),
+        workload=BernoulliWorkload(
+            pids, 0.5, rng=random.Random(3), stop_after_round=40
+        ),
+        faults=faults,
+        max_rounds=400,
+        seed=3,
+    )
+    cluster.run_until_quiescent()
+    assert cluster.network.stats.kind("ctrl-recovery-rsp").delivered > 0
+    mids = [
+        mid
+        for service in cluster.services
+        for message in service.delivered
+        for mid in (message.mid, *message.deps)
+    ]
+    assert len({id(mid) for mid in mids}) == len(set(mids)) > 100
 
 
 @pytest.mark.parametrize("path", GROUP_VECTORS, ids=lambda path: path.stem)
